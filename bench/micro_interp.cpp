@@ -171,12 +171,13 @@ BENCHMARK_CAPTURE(BM_RecordBenchmarkNoSched, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
 /// The full cold-record cache miss — interpret, serialize, compress,
-/// index, write .trace + .trace.idx — through the segmented pipeline
-/// (TPDBT_SEGMENT_EVENTS at its default) vs. the monolithic v2 writer
-/// (the =0 kill switch). On multi-core hosts the streamed row should
-/// undercut the sequential one: segment encode + compress + index parts
-/// overlap with recording. On a single hardware thread the two are
-/// expected to tie (same total work, different order).
+/// write .trace — through the segmented pipeline (TPDBT_SEGMENT_EVENTS at
+/// its default) vs. the monolithic v2 writer (the =0 kill switch). On
+/// multi-core hosts the streamed row should undercut the sequential one:
+/// segment encode + compress overlap with recording. On a single
+/// hardware thread the two are expected to tie (same total work,
+/// different order). Neither row builds the analytic index; replay does
+/// that (BM_BuildTraceIndex).
 void recordColdMiss(benchmark::State &State, const char *Budget) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("mcf"), 0.02));
@@ -213,7 +214,8 @@ BENCHMARK_CAPTURE(BM_RecordSequential, mcf, "mcf")
 /// The trace-cache hit path: drive N thresholds from an indexed trace
 /// with no interpretation at all. Compare against BM_SweepPolicies at the
 /// same argument — the warm-cache speedup of the experiment driver. The
-/// index is prebuilt outside the loop, matching the sidecar-hit case.
+/// index is prebuilt outside the loop (BM_BuildTraceIndex times it), so
+/// the rows measure replay alone.
 void BM_ReplaySweep(benchmark::State &State) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));
@@ -291,8 +293,9 @@ void BM_ReplayStreamedPump(benchmark::State &State) {
 BENCHMARK(BM_ReplayStreamedPump)->Arg(1)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
-/// One-time cost of building the analytic index (amortized across every
-/// warm replay, and skipped entirely on a sidecar hit).
+/// One-time cost of building the analytic index from a decoded trace,
+/// paid once per trace per process on cold and warm runs alike and
+/// amortized across every threshold replayed against it.
 void BM_BuildTraceIndex(benchmark::State &State) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));

@@ -31,9 +31,10 @@ using namespace tpdbt::core;
 
 int main(int argc, char **argv) {
   // Honors TPDBT_CACHE_DIR / TPDBT_JOBS; with a warm cache every sweep
-  // below is evaluated analytically from each trace's index (adopted from
-  // the .trace.idx sidecar) instead of re-interpreting or even pumping
-  // events, so trying different tuner margins costs seconds, not minutes.
+  // below is evaluated analytically from each trace's index (rebuilt from
+  // the decoded .trace in a fraction of the replay time) instead of
+  // re-interpreting or even pumping events, so trying different tuner
+  // margins costs seconds, not minutes.
   ExperimentConfig Config = ExperimentConfig::fromEnv();
   Config.Scale = argc > 1 ? std::atof(argv[1]) : 0.25;
   ExperimentContext Ctx(std::move(Config));

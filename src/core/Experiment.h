@@ -82,7 +82,7 @@ struct ExperimentConfig {
   /// Approximate-replay configuration (TPDBT_SAMPLE_*). Deliberately
   /// excluded from every fingerprint: sampled runs never read or write
   /// .prof snapshots (estimates must not masquerade as exact results),
-  /// and the .trace/.trace.idx entries they share with exact runs are
+  /// and the .trace entries they share with exact runs are
   /// sample-agnostic.
   sample::SampleConfig Sample;
 

@@ -33,12 +33,13 @@ constexpr uint8_t Version = 2;
 BlockTrace::BlockTrace(const BlockTrace &Other)
     : Events(Other.Events), Final(Other.Final), NumBlocks(Other.NumBlocks),
       TotalInsts(Other.TotalInsts), TakenEvents(Other.TakenEvents),
-      Index(Other.sharedIndex()) {}
+      Name(Other.Name), Index(Other.sharedIndex()) {}
 
 BlockTrace::BlockTrace(BlockTrace &&Other) noexcept
     : Events(std::move(Other.Events)), Final(std::move(Other.Final)),
       NumBlocks(Other.NumBlocks), TotalInsts(Other.TotalInsts),
-      TakenEvents(Other.TakenEvents), Index(Other.sharedIndex()) {}
+      TakenEvents(Other.TakenEvents), Name(std::move(Other.Name)),
+      Index(Other.sharedIndex()) {}
 
 BlockTrace &BlockTrace::operator=(const BlockTrace &Other) {
   if (this == &Other)
@@ -48,6 +49,7 @@ BlockTrace &BlockTrace::operator=(const BlockTrace &Other) {
   NumBlocks = Other.NumBlocks;
   TotalInsts = Other.TotalInsts;
   TakenEvents = Other.TakenEvents;
+  Name = Other.Name;
   std::lock_guard<std::mutex> Guard(IndexLock);
   Index = Other.sharedIndex();
   return *this;
@@ -61,6 +63,7 @@ BlockTrace &BlockTrace::operator=(BlockTrace &&Other) noexcept {
   NumBlocks = Other.NumBlocks;
   TotalInsts = Other.TotalInsts;
   TakenEvents = Other.TakenEvents;
+  Name = std::move(Other.Name);
   std::lock_guard<std::mutex> Guard(IndexLock);
   Index = Other.sharedIndex();
   return *this;
@@ -71,15 +74,6 @@ const TraceIndex &BlockTrace::index() const {
   if (!Index)
     Index = std::make_shared<TraceIndex>(TraceIndex::build(*this));
   return *Index;
-}
-
-bool BlockTrace::adoptIndex(std::shared_ptr<const TraceIndex> Idx) const {
-  if (!Idx || !Idx->matches(*this))
-    return false;
-  std::lock_guard<std::mutex> Guard(IndexLock);
-  if (!Index)
-    Index = std::move(Idx);
-  return true;
 }
 
 std::shared_ptr<const TraceIndex> BlockTrace::sharedIndex() const {

@@ -114,17 +114,18 @@ public:
     return Final;
   }
 
-  /// The analytic replay index over this trace, built on first use and
-  /// cached for the trace's lifetime. Thread-safe.
+  /// The analytic replay index over this trace, built with
+  /// TraceIndex::build on first use and cached for the trace's lifetime
+  /// (never persisted). Thread-safe.
   const TraceIndex &index() const;
 
-  /// Installs a precomputed index (e.g. loaded from a TraceCache sidecar).
-  /// Rejected unless it matches this trace; returns whether it was
-  /// adopted (an already-built index also counts as adopted).
-  bool adoptIndex(std::shared_ptr<const TraceIndex> Idx) const;
-
-  /// The cached index, or null if none has been built or adopted yet.
+  /// The cached index, or null if none has been built yet.
   std::shared_ptr<const TraceIndex> sharedIndex() const;
+
+  /// A label for diagnostics ("<benchmark>.<input>" for traces served by
+  /// TraceCache; empty otherwise). Not serialized.
+  const std::string &name() const { return Name; }
+  void setName(std::string N) { Name = std::move(N); }
 
   /// Appends one event (used by record() and tests).
   void append(const TraceEvent &E) {
@@ -181,6 +182,7 @@ private:
   size_t NumBlocks = 0;
   uint64_t TotalInsts = 0;
   uint64_t TakenEvents = 0;
+  std::string Name;
   /// Lazily-built index (see index()). Mutable: the index is a cache of a
   /// pure function of the trace, not logical state.
   mutable std::mutex IndexLock;

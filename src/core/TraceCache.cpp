@@ -2,7 +2,6 @@
 
 #include "core/TraceCache.h"
 
-#include "core/TraceIndex.h"
 #include "core/TracePipeline.h"
 #include "core/TraceSegments.h"
 #include "support/Compression.h"
@@ -32,9 +31,13 @@ uint64_t tpdbt::core::cacheMaxBytes() {
 
 void TraceCache::touchEntry(const std::string &Path) {
   std::error_code Ec;
-  const auto Now = std::filesystem::file_time_type::clock::now();
-  std::filesystem::last_write_time(Path, Now, Ec);
-  std::filesystem::last_write_time(indexPath(Path), Now, Ec);
+  std::filesystem::last_write_time(
+      Path, std::filesystem::file_time_type::clock::now(), Ec);
+}
+
+void TraceCache::removeStaleSidecar(const std::string &Path) {
+  std::error_code Ec;
+  std::filesystem::remove(Path + ".idx", Ec);
 }
 
 void TraceCache::enforceBudget() {
@@ -59,10 +62,6 @@ void TraceCache::enforceBudget() {
     if (Ec)
       continue; // raced with a concurrent eviction or rewrite
     Ent.Used = std::filesystem::last_write_time(E.path(), Ec);
-    const uint64_t IdxBytes =
-        std::filesystem::file_size(indexPath(Ent.TracePath), Ec);
-    if (!Ec)
-      Ent.Bytes += IdxBytes;
     Total += Ent.Bytes;
     Entries.push_back(std::move(Ent));
   }
@@ -77,7 +76,7 @@ void TraceCache::enforceBudget() {
     // layer holds its own reference, and the next cold lookup simply
     // re-records (stampede-protected by the per-slot lock as usual).
     std::filesystem::remove(Ent.TracePath, Ec);
-    std::filesystem::remove(indexPath(Ent.TracePath), Ec);
+    removeStaleSidecar(Ent.TracePath);
     Total -= std::min(Total, Ent.Bytes);
     Stats.Evictions.fetch_add(1, std::memory_order_relaxed);
     Stats.EvictedBytes.fetch_add(Ent.Bytes, std::memory_order_relaxed);
@@ -98,6 +97,7 @@ bool TraceCache::openSegmented(const std::string &Name,
     return false;
   Stats.SampleDiskOpens.fetch_add(1, std::memory_order_relaxed);
   touchEntry(Path);
+  removeStaleSidecar(Path);
   return true;
 }
 
@@ -109,7 +109,7 @@ std::string TraceCache::entryPath(const std::string &Name,
                       static_cast<unsigned long long>(ExecFp));
 }
 
-std::shared_ptr<const BlockTrace>
+std::shared_ptr<BlockTrace>
 TraceCache::loadDisk(const std::string &Path, const guest::Program &Program) {
   auto Packed = readTextFile(Path);
   if (!Packed)
@@ -145,33 +145,6 @@ void TraceCache::storeDisk(const std::string &Path,
   writeTextFileAtomic(Path, compressBytes(Trace.serialize()));
 }
 
-void TraceCache::ensureIndex(const std::string &TracePath,
-                             const BlockTrace &Trace) {
-  const std::string IdxPath = indexPath(TracePath);
-  if (auto Packed = readTextFile(IdxPath)) {
-    std::string Raw;
-    auto Idx = std::make_shared<TraceIndex>();
-    if (decompressBytes(*Packed, Raw, nullptr) &&
-        TraceIndex::parse(Raw, *Idx, nullptr) &&
-        Trace.adoptIndex(std::move(Idx))) {
-      Stats.IndexHits.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    // Torn, corrupt, or written for a different trace (stale key
-    // collision): rebuild and rewrite below.
-    Stats.CorruptIndexEntries.fetch_add(1, std::memory_order_relaxed);
-  }
-  auto Start = std::chrono::steady_clock::now();
-  const TraceIndex &Idx = Trace.index();
-  auto End = std::chrono::steady_clock::now();
-  Stats.IndexBuilds.fetch_add(1, std::memory_order_relaxed);
-  Stats.IndexMicros.fetch_add(
-      std::chrono::duration_cast<std::chrono::microseconds>(End - Start)
-          .count(),
-      std::memory_order_relaxed);
-  writeTextFileAtomic(IdxPath, compressBytes(Idx.serialize()));
-}
-
 std::shared_ptr<const BlockTrace>
 TraceCache::get(const std::string &Name, const std::string &Input,
                 uint64_t ExecFp, const guest::Program &Program,
@@ -197,23 +170,25 @@ TraceCache::get(const std::string &Name, const std::string &Input,
     Path = entryPath(Name, Input, ExecFp);
     if (auto FromDisk = loadDisk(Path, Program)) {
       Stats.DiskHits.fetch_add(1, std::memory_order_relaxed);
-      ensureIndex(Path, *FromDisk);
       touchEntry(Path); // refresh LRU recency for the bounded store
+      removeStaleSidecar(Path);
+      FromDisk->setName(Name + "." + Input);
       S->Trace = FromDisk;
       return FromDisk;
     }
   }
 
   Stats.Misses.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t SegmentBudget = segmentEventBudget();
+  // Only the disk layer wants the segmented container bytes; a
+  // memory-only cache records without the pipeline.
+  const uint64_t SegmentBudget = Dir.empty() ? 0 : segmentEventBudget();
   auto Start = std::chrono::steady_clock::now();
   vm::HostTierStats Tier;
   std::shared_ptr<BlockTrace> Recorded;
   std::unique_ptr<TracePipeline> Pipe;
   if (SegmentBudget > 0)
     Pipe = std::make_unique<TracePipeline>(SegmentBudget,
-                                           Program.numBlocks(),
-                                           /*WantFile=*/!Dir.empty());
+                                           Program.numBlocks());
   Recorded = std::make_shared<BlockTrace>(BlockTrace::record(
       Program, MaxBlocks, &Tier,
       Pipe ? BlockTrace::SegmentProgressFn(
@@ -244,28 +219,25 @@ TraceCache::get(const std::string &Name, const std::string &Input,
                                   std::memory_order_relaxed);
   Stats.JitStubsDeduped.fetch_add(Tier.JitStubsDeduped,
                                   std::memory_order_relaxed);
+  Recorded->setName(Name + "." + Input);
   if (Pipe) {
-    // Streamed path: the pipeline already compressed and indexed every
-    // segment behind the recording; finish() drains the tail, assembles
-    // the v3 container, and stitches the index — no separate serialize,
-    // compress, or index build remains.
+    // Streamed path: the pipeline already compressed every segment behind
+    // the recording; finish() drains the tail and assembles the v3
+    // container — no separate serialize or compress pass remains.
     TracePipeline::Result R = Pipe->finish(*Recorded);
     Stats.StreamedRecords.fetch_add(1, std::memory_order_relaxed);
     Stats.SegmentsPiped.fetch_add(R.Segments, std::memory_order_relaxed);
     Stats.PipelineMicros.fetch_add(R.WorkMicros, std::memory_order_relaxed);
     Stats.FlushMicros.fetch_add(R.FlushMicros, std::memory_order_relaxed);
-    Recorded->adoptIndex(R.Index);
-    if (!Dir.empty() && ensureDirectory(Dir)) {
+    if (ensureDirectory(Dir))
       writeTextFileAtomic(Path, R.FileBytes);
-      writeTextFileAtomic(indexPath(Path),
-                          compressBytes(R.Index->serialize()));
-    }
   } else if (!Dir.empty()) {
     storeDisk(Path, *Recorded);
-    ensureIndex(Path, *Recorded);
   }
-  if (!Dir.empty())
+  if (!Dir.empty()) {
+    removeStaleSidecar(Path);
     enforceBudget();
+  }
   S->Trace = Recorded;
   return Recorded;
 }

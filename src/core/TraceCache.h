@@ -17,23 +17,24 @@
 ///    event stream and nothing that doesn't — so policy-only configuration
 ///    changes replay a warm trace instead of re-interpreting.
 ///
-/// Each disk entry carries a .trace.idx *sidecar* holding the trace's
-/// analytic replay index (core/TraceIndex.h), so warm lookups skip the
-/// index build as well as the recording. A missing, corrupt, or
-/// mismatched sidecar is rebuilt from the trace and rewritten; it never
-/// invalidates the trace itself.
+/// The .trace file is the only artifact per entry. The analytic replay
+/// index (core/TraceIndex.h) is derived data and is never stored: replay
+/// rebuilds it from the decoded trace (BlockTrace::index()), which costs
+/// a fraction of reading a persisted copy back. Caches written by older
+/// builds hold a `<entry>.trace.idx` sidecar next to each .trace; nothing
+/// reads it, and it is deleted when its entry is hit, rewritten, or
+/// evicted.
 ///
 /// A corrupt, truncated, or stale-format disk entry is counted and treated
 /// as a miss; the trace is then re-recorded and the entry rewritten
 /// atomically (write-then-rename, like the .prof snapshot cache).
 ///
 /// The disk layer is size-bounded: when TPDBT_CACHE_MAX_BYTES is set, the
-/// .trace entries (each with its .trace.idx sidecar) are LRU-evicted
-/// after every store until they fit the budget. Disk hits refresh an
-/// entry's recency (its mtime), so a long-running sweep service keeps
-/// hot programs warm while cold recordings age out. The .prof snapshot
-/// files sharing the directory are never evicted — they are tiny and
-/// belong to the Experiment layer.
+/// .trace entries are LRU-evicted after every store until they fit the
+/// budget. Disk hits refresh an entry's recency (its mtime), so a
+/// long-running sweep service keeps hot programs warm while cold
+/// recordings age out. The .prof snapshot files sharing the directory are
+/// never evicted — they are tiny and belong to the Experiment layer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,23 +88,22 @@ public:
     /// downgrades its lookup to a miss.
     std::atomic<uint64_t> CorruptEntries{0};
     std::atomic<uint64_t> RecordMicros{0};
-    /// Analytic replay indexes served from a .trace.idx sidecar.
+    /// Always 0: indexes were once served from persisted sidecars and no
+    /// longer are. The field stays because the figure banners and
+    /// perfbench/perfbench.cpp read it.
     std::atomic<uint64_t> IndexHits{0};
-    /// Indexes built from the trace (no usable sidecar); the build wall
-    /// clock is accumulated in IndexMicros.
+    /// Analytic indexes built from a trace (see noteIndexBuild); the build
+    /// wall clock is accumulated in IndexMicros.
     std::atomic<uint64_t> IndexBuilds{0};
-    /// Sidecars that failed to parse or did not match their trace; each
-    /// one downgrades to a rebuild.
-    std::atomic<uint64_t> CorruptIndexEntries{0};
     std::atomic<uint64_t> IndexMicros{0};
     /// Misses recorded through the streamed segment pipeline
-    /// (core/TracePipeline.h; TPDBT_SEGMENT_EVENTS nonzero) and the
-    /// segments they handed through the ring.
+    /// (core/TracePipeline.h; disk layer on and TPDBT_SEGMENT_EVENTS
+    /// nonzero) and the segments they handed through the ring.
     std::atomic<uint64_t> StreamedRecords{0};
     std::atomic<uint64_t> SegmentsPiped{0};
     /// Consumer wall clock overlapped with recording (segment encode +
-    /// compress + index parts), vs. the non-overlapped tail: drain,
-    /// container assembly, and index stitch after recording ends.
+    /// compress), vs. the non-overlapped tail: drain and container
+    /// assembly after recording ends.
     std::atomic<uint64_t> PipelineMicros{0};
     std::atomic<uint64_t> FlushMicros{0};
     /// Host translation tier coverage of the recordings behind the
@@ -134,8 +134,8 @@ public:
     std::atomic<uint64_t> JitReorderedOps{0};
     std::atomic<uint64_t> JitStubsDeduped{0};
     /// LRU evictions from the size-bounded disk layer
-    /// (TPDBT_CACHE_MAX_BYTES): entries removed and the trace+sidecar
-    /// bytes they freed.
+    /// (TPDBT_CACHE_MAX_BYTES): entries removed and the .trace bytes
+    /// they freed.
     std::atomic<uint64_t> Evictions{0};
     std::atomic<uint64_t> EvictedBytes{0};
     /// Sampled-replay coverage (src/sample): warm entries opened as
@@ -156,9 +156,8 @@ public:
 
   const Counters &stats() const { return Stats; }
 
-  /// Accounts one analytic-index build performed by a caller outside
-  /// get() (core/Experiment.cpp pre-builds indexes under their own timer
-  /// so replay wall clock excludes them).
+  /// Accounts one analytic-index build (core/Experiment.cpp builds each
+  /// trace's index under its own timer so replay wall clock excludes it).
   void noteIndexBuild(uint64_t Micros) {
     Stats.IndexBuilds.fetch_add(1, std::memory_order_relaxed);
     Stats.IndexMicros.fetch_add(Micros, std::memory_order_relaxed);
@@ -184,15 +183,8 @@ public:
   std::string entryPath(const std::string &Name, const std::string &Input,
                         uint64_t ExecFp) const;
 
-  /// The analytic-index sidecar path next to a .trace entry (exposed for
-  /// tests).
-  static std::string indexPath(const std::string &TracePath) {
-    return TracePath + ".idx";
-  }
-
   /// Applies the TPDBT_CACHE_MAX_BYTES budget to the disk layer now:
-  /// deletes least-recently-used .trace entries (with their sidecars)
-  /// until the store fits. Called after every store; exposed so tests
+  /// deletes least-recently-used .trace entries until the store fits. Called after every store; exposed so tests
   /// and the daemon's STATS path can force a pass.
   void enforceBudget();
 
@@ -202,18 +194,15 @@ private:
     std::weak_ptr<const BlockTrace> Trace;
   };
 
-  std::shared_ptr<const BlockTrace> loadDisk(const std::string &Path,
-                                             const guest::Program &Program);
+  std::shared_ptr<BlockTrace> loadDisk(const std::string &Path,
+                                       const guest::Program &Program);
   void storeDisk(const std::string &Path, const BlockTrace &Trace) const;
-  /// Marks a disk entry as recently used (bumps its and its sidecar's
-  /// mtime) so LRU eviction sees hits, not just writes.
+  /// Marks a disk entry as recently used (bumps its mtime) so LRU
+  /// eviction sees hits, not just writes.
   static void touchEntry(const std::string &Path);
-
-  /// Attaches the analytic replay index to \p Trace: adopts the sidecar
-  /// next to \p TracePath when it is intact and matches, otherwise builds
-  /// the index and (re)writes the sidecar.
-  void ensureIndex(const std::string &TracePath,
-                   const BlockTrace &Trace);
+  /// Deletes the `<Path>.idx` index sidecar an older build may have left
+  /// next to the entry at \p Path (see the file comment).
+  static void removeStaleSidecar(const std::string &Path);
 
   std::string Dir;
   std::mutex SlotsLock; ///< guards the map structure only

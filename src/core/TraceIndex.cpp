@@ -3,20 +3,31 @@
 #include "core/TraceIndex.h"
 
 #include "core/Trace.h"
-#include "support/Varint.h"
+#include "support/Format.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <stdexcept>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
 using namespace tpdbt::guest;
 
+void TraceIndex::checkPositionLimit(uint64_t NumEvents,
+                                    const std::string &TraceName) {
+  if (NumEvents < (1ull << 32))
+    return;
+  throw std::length_error(formatString(
+      "trace %s has %llu events, too many for the 32-bit positions of the "
+      "analytic replay index (limit 2^32 - 1)",
+      TraceName.empty() ? "(unnamed)" : TraceName.c_str(),
+      static_cast<unsigned long long>(NumEvents)));
+}
+
 TraceIndex TraceIndex::build(const BlockTrace &Trace) {
   const size_t N = Trace.numBlocks();
   const size_t E = Trace.numEvents();
-  assert(E < (1ull << 32) && "trace too large for a 32-bit position index");
+  checkPositionLimit(E, Trace.name());
 
   TraceIndex Idx;
   Idx.TotalInsts = Trace.totalInsts();
@@ -60,95 +71,6 @@ TraceIndex TraceIndex::build(const BlockTrace &Trace) {
     Idx.InstsPre[Row + 1] = Idx.InstsPre[Row] + Ev.Insts;
     Idx.GlobalInsts[I + 1] = Idx.GlobalInsts[I] + Ev.Insts;
     Idx.GlobalTaken[I + 1] = Idx.GlobalTaken[I] + (Taken ? 1 : 0);
-  }
-  return Idx;
-}
-
-TraceIndex::SegmentPart TraceIndex::buildPart(const TraceEvent *Ev, size_t N,
-                                              size_t NumBlocks,
-                                              uint64_t BasePos) {
-  SegmentPart Part;
-  Part.SegBegin.assign(NumBlocks + 1, 0);
-  // Counting sort by block: one pass for per-block counts, exclusive
-  // prefix for the row offsets, one pass to scatter. Positions within a
-  // block row come out in stream order, which is what the stitched CSR
-  // rows need.
-  for (size_t I = 0; I < N; ++I)
-    ++Part.SegBegin[Ev[I].Block + 1];
-  for (size_t B = 0; B < NumBlocks; ++B)
-    Part.SegBegin[B + 1] += Part.SegBegin[B];
-  Part.Pos.resize(N);
-  Part.Taken.resize(N);
-  Part.Insts.resize(N);
-  std::vector<uint32_t> Cursor(Part.SegBegin.begin(), Part.SegBegin.end() - 1);
-  for (size_t I = 0; I < N; ++I) {
-    const uint32_t Slot = Cursor[Ev[I].Block]++;
-    Part.Pos[Slot] = static_cast<uint32_t>(BasePos + I);
-    Part.Taken[Slot] = Ev[I].Branch == 2 ? 1 : 0;
-    Part.Insts[Slot] = Ev[I].Insts;
-  }
-  return Part;
-}
-
-TraceIndex TraceIndex::stitch(const BlockTrace &Trace, uint64_t Budget,
-                              const std::vector<SegmentPart> &Parts,
-                              std::vector<SegmentBase> Directory) {
-  const size_t N = Trace.numBlocks();
-  const size_t E = Trace.numEvents();
-  assert(E < (1ull << 32) && "trace too large for a 32-bit position index");
-
-  TraceIndex Idx;
-  Idx.TotalInsts = Trace.totalInsts();
-  Idx.TakenEvents = Trace.takenEvents();
-  Idx.SegmentBudget = Budget;
-  Idx.Directory = std::move(Directory);
-
-  const std::vector<profile::BlockCounters> &Final = Trace.finalCounts();
-  Idx.BlockBegin.resize(N + 1);
-  uint32_t Offset = 0;
-  for (size_t B = 0; B < N; ++B) {
-    Idx.BlockBegin[B] = Offset;
-    Offset += static_cast<uint32_t>(Final[B].Use);
-  }
-  Idx.BlockBegin[N] = Offset;
-  assert(Offset == E && "final counts disagree with the event stream");
-
-  Idx.OccPos.resize(E);
-  Idx.TakenPre.resize(E + N);
-  Idx.InstsPre.resize(E + N);
-
-  // Per-block rows: concatenate each part's block row in stream order
-  // (parts are ordered, and within a part a row is in stream order), and
-  // continue the prefix sums across segment boundaries. The parts carry
-  // the outcome/instruction payload, so this pass reads the parts
-  // sequentially instead of chasing positions through the event stream.
-  for (size_t B = 0; B < N; ++B) {
-    size_t Dst = Idx.BlockBegin[B];
-    const size_t Row = Idx.prefBegin(static_cast<guest::BlockId>(B));
-    size_t K = 0;
-    Idx.TakenPre[Row] = 0;
-    Idx.InstsPre[Row] = 0;
-    for (const SegmentPart &Part : Parts) {
-      const uint32_t From = Part.SegBegin[B], To = Part.SegBegin[B + 1];
-      for (uint32_t J = From; J < To; ++J, ++K) {
-        Idx.OccPos[Dst + K] = Part.Pos[J];
-        Idx.TakenPre[Row + K + 1] = Idx.TakenPre[Row + K] + Part.Taken[J];
-        Idx.InstsPre[Row + K + 1] = Idx.InstsPre[Row + K] + Part.Insts[J];
-      }
-    }
-    assert(K == Final[B].Use && "segment parts disagree with final counts");
-  }
-
-  // Global prefix sums: one sequential pass over the stream (memory-bound
-  // and branch-free; not worth splitting per segment).
-  Idx.GlobalInsts.resize(E + 1);
-  Idx.GlobalTaken.resize(E + 1);
-  Idx.GlobalInsts[0] = 0;
-  Idx.GlobalTaken[0] = 0;
-  for (size_t I = 0; I < E; ++I) {
-    const TraceEvent &Ev = Trace.event(I);
-    Idx.GlobalInsts[I + 1] = Idx.GlobalInsts[I] + Ev.Insts;
-    Idx.GlobalTaken[I + 1] = Idx.GlobalTaken[I] + (Ev.Branch == 2 ? 1 : 0);
   }
   return Idx;
 }
@@ -200,144 +122,6 @@ uint32_t TraceIndex::firstOutcomeChange(BlockId B, uint32_t K,
       Hi = Mid;
   }
   return Lo - 1;
-}
-
-namespace {
-
-constexpr char IdxMagic[4] = {'T', 'P', 'D', 'X'};
-/// v2 added the segment directory (budget + per-segment events and
-/// global prefix-sum bases); v1 sidecars (no directory) remain readable.
-constexpr uint8_t IdxVersionPlain = 1;
-constexpr uint8_t IdxVersionSegmented = 2;
-
-template <typename T> void putArray(std::string &Out, const std::vector<T> &V) {
-  size_t Bytes = V.size() * sizeof(T);
-  size_t At = Out.size();
-  Out.resize(At + Bytes);
-  std::memcpy(Out.data() + At, V.data(), Bytes);
-}
-
-template <typename T>
-bool getArray(const std::string &In, size_t &Pos, std::vector<T> &V,
-              size_t Count) {
-  size_t Bytes = Count * sizeof(T);
-  if (In.size() - Pos < Bytes)
-    return false;
-  V.resize(Count);
-  std::memcpy(V.data(), In.data() + Pos, Bytes);
-  Pos += Bytes;
-  return true;
-}
-
-} // namespace
-
-std::string TraceIndex::serialize() const {
-  const size_t N = numBlocks();
-  const size_t E = numEvents();
-  std::string Out(IdxMagic, 4);
-  Out.push_back(static_cast<char>(
-      Directory.empty() ? IdxVersionPlain : IdxVersionSegmented));
-  putVarint(Out, N);
-  putVarint(Out, E);
-  putVarint(Out, TotalInsts);
-  putVarint(Out, TakenEvents);
-  if (!Directory.empty()) {
-    putVarint(Out, SegmentBudget);
-    putVarint(Out, Directory.size());
-    for (const SegmentBase &S : Directory) {
-      putVarint(Out, S.Events);
-      putVarint(Out, S.BaseInsts);
-      putVarint(Out, S.BaseTaken);
-    }
-  }
-  putArray(Out, BlockBegin);
-  putArray(Out, OccPos);
-  putArray(Out, TakenPre);
-  putArray(Out, InstsPre);
-  putArray(Out, GlobalInsts);
-  putArray(Out, GlobalTaken);
-  return Out;
-}
-
-bool TraceIndex::parse(const std::string &Bytes, TraceIndex &Out,
-                       std::string *Error) {
-  auto Fail = [&](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  if (Bytes.size() < 5 || Bytes.compare(0, 4, IdxMagic, 4) != 0)
-    return Fail("bad index magic");
-  const uint8_t Ver = static_cast<uint8_t>(Bytes[4]);
-  if (Ver != IdxVersionPlain && Ver != IdxVersionSegmented)
-    return Fail("unsupported index version");
-  size_t Pos = 5;
-  uint64_t N = 0, E = 0;
-  TraceIndex Idx;
-  if (!getVarint(Bytes, Pos, N) || !getVarint(Bytes, Pos, E) ||
-      !getVarint(Bytes, Pos, Idx.TotalInsts) ||
-      !getVarint(Bytes, Pos, Idx.TakenEvents))
-    return Fail("truncated index header");
-  if (E >= (1ull << 32) || N > E + 1 || E * 4 > Bytes.size())
-    return Fail("implausible index dimensions");
-  if (Ver == IdxVersionSegmented) {
-    uint64_t NumSegments = 0;
-    if (!getVarint(Bytes, Pos, Idx.SegmentBudget) ||
-        !getVarint(Bytes, Pos, NumSegments))
-      return Fail("truncated index segment directory");
-    // A segment holds at least one event, so more segments than events
-    // (or than a third of the directory bytes) marks corruption before
-    // any allocation is sized from an attacker-controlled count.
-    if (NumSegments > E || NumSegments > Bytes.size() / 3)
-      return Fail("implausible index segment count");
-    if (NumSegments > 0 && Idx.SegmentBudget == 0)
-      return Fail("index segment directory with zero budget");
-    Idx.Directory.resize(NumSegments);
-    uint64_t SumEvents = 0, RunInsts = 0, RunTaken = 0;
-    for (uint64_t S = 0; S < NumSegments; ++S) {
-      uint64_t Events = 0, BaseInsts = 0, BaseTaken = 0;
-      if (!getVarint(Bytes, Pos, Events) ||
-          !getVarint(Bytes, Pos, BaseInsts) ||
-          !getVarint(Bytes, Pos, BaseTaken))
-        return Fail("truncated index segment directory");
-      // Zero-length and oversized entries are rejected per row, before
-      // the uint32 narrowing below and before SumEvents can wrap.
-      if (Events == 0 || Events > Idx.SegmentBudget || Events > E)
-        return Fail("index segment event count outside budget");
-      if (BaseInsts < RunInsts || BaseTaken < RunTaken)
-        return Fail("index segment bases not monotone");
-      Idx.Directory[S] = {static_cast<uint32_t>(Events), BaseInsts,
-                          BaseTaken};
-      SumEvents += Events;
-      if (SumEvents > E)
-        return Fail("index segment directory disagrees with event count");
-      RunInsts = BaseInsts;
-      RunTaken = BaseTaken;
-    }
-    if (SumEvents != E)
-      return Fail("index segment directory disagrees with event count");
-    if (RunInsts > Idx.TotalInsts || RunTaken > Idx.TakenEvents)
-      return Fail("index segment bases exceed trace totals");
-  }
-  if (!getArray(Bytes, Pos, Idx.BlockBegin, N + 1) ||
-      !getArray(Bytes, Pos, Idx.OccPos, E) ||
-      !getArray(Bytes, Pos, Idx.TakenPre, E + N) ||
-      !getArray(Bytes, Pos, Idx.InstsPre, E + N) ||
-      !getArray(Bytes, Pos, Idx.GlobalInsts, E + 1) ||
-      !getArray(Bytes, Pos, Idx.GlobalTaken, E + 1))
-    return Fail("truncated index payload");
-  if (Pos != Bytes.size())
-    return Fail("trailing bytes after index");
-  if (Idx.BlockBegin.front() != 0 || Idx.BlockBegin.back() != E)
-    return Fail("corrupt index offsets");
-  for (size_t B = 0; B < N; ++B)
-    if (Idx.BlockBegin[B] > Idx.BlockBegin[B + 1])
-      return Fail("corrupt index offsets");
-  if (Idx.GlobalInsts.back() != Idx.TotalInsts ||
-      Idx.GlobalTaken.back() != Idx.TakenEvents)
-    return Fail("index totals disagree with prefix sums");
-  Out = std::move(Idx);
-  return true;
 }
 
 bool TraceIndex::matches(const BlockTrace &Trace) const {

@@ -23,9 +23,10 @@
 ///  - global instruction/taken prefix sums over the whole stream for
 ///    closed-form tail accounting.
 ///
-/// Building the index is two O(events) passes; it is built at most once
-/// per trace (see BlockTrace::index()) and cached on disk as a sidecar
-/// next to the .trace entry (see TraceCache and docs/CACHE_FORMAT.md).
+/// Building the index is two O(events) passes over the decoded trace; it
+/// is built at most once per in-memory trace (see BlockTrace::index())
+/// and never persisted: rebuilding it costs a fraction of what writing
+/// and reading back the (much larger than the trace) arrays would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,61 +44,23 @@ namespace tpdbt {
 namespace core {
 
 class BlockTrace;
-struct TraceEvent;
 
 /// Immutable positional index over one BlockTrace (see file comment).
-/// Event positions are uint32_t; traces are capped well below 2^32 events
-/// (the largest full-scale recording is ~10^8).
+/// Event positions are uint32_t; the largest full-scale recording is
+/// ~10^8 events, and build() refuses anything at or past 2^32.
 class TraceIndex {
 public:
-  /// Builds the index for \p Trace in two linear passes.
+  /// Builds the index for \p Trace in two linear passes. Throws
+  /// std::length_error (see checkPositionLimit) when the trace has too
+  /// many events for 32-bit positions.
   static TraceIndex build(const BlockTrace &Trace);
 
-  /// One segment's row in the index's segment directory: how many events
-  /// the segment holds and the global prefix-sum bases at its start, so a
-  /// segment-at-a-time consumer can fast-forward to any segment without
-  /// touching the ones before it (mirrors the TPDT v3 directory).
-  struct SegmentBase {
-    uint32_t Events = 0;
-    uint64_t BaseInsts = 0;
-    uint64_t BaseTaken = 0;
-  };
-
-  /// The per-segment index material the streamed pipeline builds while a
-  /// segment is still in flight: the segment's events grouped by block
-  /// (a segment-local CSR), with global positions and the per-occurrence
-  /// outcome/instruction payload needed to stitch the per-block prefix
-  /// rows without re-touching the event stream.
-  struct SegmentPart {
-    std::vector<uint32_t> SegBegin; ///< NumBlocks+1 CSR offsets
-    std::vector<uint32_t> Pos;      ///< global positions, grouped by block
-    std::vector<uint8_t> Taken;     ///< parallel taken-outcome bits
-    std::vector<uint32_t> Insts;    ///< parallel instruction counts
-  };
-
-  /// Indexes one segment: \p N events starting at global position
-  /// \p BasePos, over a program of \p NumBlocks blocks. Pure function of
-  /// the slice — safe to run concurrently with recording of later events.
-  static SegmentPart buildPart(const TraceEvent *Ev, size_t N,
-                               size_t NumBlocks, uint64_t BasePos);
-
-  /// Assembles the full index from per-segment parts (in stream order):
-  /// per-block rows are concatenations of the parts' block rows with the
-  /// prefix sums continued across segment boundaries, and the global
-  /// prefix arrays come from one linear pass over \p Trace. Produces the
-  /// same queries as build(); the pipeline's differential tests pin that.
-  /// \p Budget and \p Directory populate the TPDX v2 segment directory.
-  static TraceIndex stitch(const BlockTrace &Trace, uint64_t Budget,
-                           const std::vector<SegmentPart> &Parts,
-                           std::vector<SegmentBase> Directory);
-
-  /// The segment directory (empty for indexes built monolithically or
-  /// loaded from a TPDX v1 sidecar).
-  const std::vector<SegmentBase> &segmentDirectory() const {
-    return Directory;
-  }
-  /// The event budget the segments were cut with (0 when no directory).
-  uint64_t segmentBudget() const { return SegmentBudget; }
+  /// The 32-bit position limit, checked in every build type: throws
+  /// std::length_error naming \p TraceName and \p NumEvents when
+  /// \p NumEvents >= 2^32, since positions past it would silently
+  /// truncate.
+  static void checkPositionLimit(uint64_t NumEvents,
+                                 const std::string &TraceName);
 
   size_t numBlocks() const { return BlockBegin.size() - 1; }
   size_t numEvents() const { return OccPos.size(); }
@@ -155,15 +118,8 @@ public:
   /// Taken conditional branches among events at positions < \p Pos.
   uint32_t takenBefore(uint32_t Pos) const { return GlobalTaken[Pos]; }
 
-  /// Serializes to the TPDX sidecar format (see docs/CACHE_FORMAT.md):
-  /// v2 when the index carries a segment directory, v1 otherwise.
-  /// parse() round-trips and accepts both versions.
-  std::string serialize() const;
-  static bool parse(const std::string &Bytes, TraceIndex &Out,
-                    std::string *Error);
-
   /// True when the index plausibly describes \p Trace (dimension and
-  /// total checks; guards against stale or mismatched sidecars).
+  /// total checks).
   bool matches(const BlockTrace &Trace) const;
 
 private:
@@ -186,9 +142,6 @@ private:
   std::vector<uint32_t> GlobalTaken;
   uint64_t TotalInsts = 0;
   uint64_t TakenEvents = 0;
-  /// TPDX v2 segment directory (empty on v1 / monolithic builds).
-  std::vector<SegmentBase> Directory;
-  uint64_t SegmentBudget = 0;
 };
 
 } // namespace core

@@ -1,4 +1,4 @@
-//===- core/TracePipeline.cpp - Streamed record/compress/index -------------===//
+//===- core/TracePipeline.cpp - Streamed record/compress -------------------===//
 
 #include "core/TracePipeline.h"
 
@@ -21,8 +21,8 @@ uint64_t microsSince(std::chrono::steady_clock::time_point Start) {
 
 } // namespace
 
-TracePipeline::TracePipeline(uint64_t Budget, size_t NumBlocks, bool WantFile)
-    : Budget(Budget), NumBlocks(NumBlocks), WantFile(WantFile) {
+TracePipeline::TracePipeline(uint64_t Budget, size_t NumBlocks)
+    : Budget(Budget), NumBlocks(NumBlocks) {
   assert(Budget >= 1 && "segment budget must be positive");
   Pool.submit([this] { consumeLoop(); });
 }
@@ -44,17 +44,13 @@ void TracePipeline::consumeLoop() {
     Rec.Events = static_cast<uint32_t>(W.Events.size());
     Rec.BaseInsts = RunInsts;
     Rec.BaseTaken = RunTaken;
-    if (WantFile)
-      Rec.Payload = compressBytes(
-          encodeSegmentEvents(W.Events.data(), W.Events.size()));
-    Parts.push_back(TraceIndex::buildPart(W.Events.data(), W.Events.size(),
-                                          NumBlocks, RunPos));
+    Rec.Payload =
+        compressBytes(encodeSegmentEvents(W.Events.data(), W.Events.size()));
     for (const TraceEvent &E : W.Events) {
       RunInsts += E.Insts;
       if (E.Branch == 2)
         ++RunTaken;
     }
-    RunPos += W.Events.size();
     Segments.push_back(std::move(Rec));
     WorkMicros += microsSince(Start);
   }
@@ -92,16 +88,9 @@ TracePipeline::Result TracePipeline::finish(const BlockTrace &T) {
 
   Result R;
   R.Segments = Segments.size();
-  std::vector<TraceIndex::SegmentBase> Dir;
-  Dir.reserve(Segments.size());
-  for (const TraceSegmentRecord &Rec : Segments)
-    Dir.push_back({Rec.Events, Rec.BaseInsts, Rec.BaseTaken});
-  if (WantFile)
-    R.FileBytes =
-        assembleSegmentedTrace(NumBlocks, T.numEvents(), T.totalInsts(),
-                               Budget, T.finalCounts(), Segments);
-  R.Index = std::make_shared<TraceIndex>(
-      TraceIndex::stitch(T, Budget, Parts, std::move(Dir)));
+  R.FileBytes = assembleSegmentedTrace(NumBlocks, T.numEvents(),
+                                       T.totalInsts(), Budget,
+                                       T.finalCounts(), Segments);
   R.WorkMicros = WorkMicros;
   R.FlushMicros = microsSince(Start);
   return R;

@@ -1,24 +1,25 @@
-//===- core/TracePipeline.h - Streamed record/compress/index ----*- C++ -*-===//
+//===- core/TracePipeline.h - Streamed record/compress ----------*- C++ -*-===//
 //
 // Part of the tpdbt project (CGO 2004 initial-prediction reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Overlaps trace recording with segment compression and indexing. The
-/// recorder (producer) crosses a segment boundary, copies the finished
-/// slice out of the live event vector, and hands it through a lock-free
-/// SPSC ring (support/SpscRing.h) to a single consumer worker that
-/// delta-varint encodes, TPDZ-compresses, and CSR-indexes the segment
-/// while the recorder interprets the next one:
+/// Overlaps trace recording with segment compression. The recorder
+/// (producer) crosses a segment boundary, copies the finished slice out
+/// of the live event vector, and hands it through a lock-free SPSC ring
+/// (support/SpscRing.h) to a single consumer worker that delta-varint
+/// encodes and TPDZ-compresses the segment while the recorder interprets
+/// the next one:
 ///
-///   record ──▶ SpscRing ──▶ encode + compress + buildPart
+///   record ──▶ SpscRing ──▶ encode + compress
 ///
-/// finish() closes the ring, drains the consumer, assembles the TPDT v3
-/// container from the finished segments, and stitches the per-segment
-/// index parts into the full TraceIndex — so a cold cache miss leaves
+/// finish() closes the ring, drains the consumer, and assembles the TPDT
+/// v3 container from the finished segments — so a cold cache miss leaves
 /// the record path having paid (ideally) only the recording wall clock,
-/// with compression and index construction hidden behind it.
+/// with compression hidden behind it. The analytic replay index is not
+/// built here: BlockTrace::index() builds it from the finished trace when
+/// replay first needs it.
 ///
 /// The consumer computes each segment's global prefix-sum bases from its
 /// own running totals, not from the live trace's counters: by the time a
@@ -27,7 +28,8 @@
 ///
 /// One producer, one consumer; a TracePipeline instance serves exactly
 /// one recording. TraceCache::get() wires it to BlockTrace::record()'s
-/// segment callback when TPDBT_SEGMENT_EVENTS is nonzero.
+/// segment callback when the disk layer is on and TPDBT_SEGMENT_EVENTS is
+/// nonzero.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,13 +37,11 @@
 #define TPDBT_CORE_TRACEPIPELINE_H
 
 #include "core/Trace.h"
-#include "core/TraceIndex.h"
 #include "core/TraceSegments.h"
 #include "support/SpscRing.h"
 #include "support/ThreadPool.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,25 +51,19 @@ namespace core {
 class TracePipeline {
 public:
   struct Result {
-    /// The assembled TPDT v3 container (empty when the pipeline was
-    /// created with WantFile = false).
+    /// The assembled TPDT v3 container.
     std::string FileBytes;
-    /// The full analytic index, stitched from the per-segment parts;
-    /// carries the TPDX v2 segment directory.
-    std::shared_ptr<const TraceIndex> Index;
     uint64_t Segments = 0;
-    /// Consumer wall clock spent on segments (encode + compress +
-    /// buildPart) — work overlapped with recording.
+    /// Consumer wall clock spent on segments (encode + compress) — work
+    /// overlapped with recording.
     uint64_t WorkMicros = 0;
-    /// finish() wall clock: tail handoff, consumer drain, container
-    /// assembly, and index stitch — the part that is NOT overlapped.
+    /// finish() wall clock: tail handoff, consumer drain, and container
+    /// assembly — the part that is NOT overlapped.
     uint64_t FlushMicros = 0;
   };
 
-  /// \p Budget is the per-segment event count (>= 1); \p WantFile
-  /// enables payload compression and container assembly (false when no
-  /// disk layer wants the bytes — the index parts are still built).
-  TracePipeline(uint64_t Budget, size_t NumBlocks, bool WantFile);
+  /// \p Budget is the per-segment event count (>= 1).
+  TracePipeline(uint64_t Budget, size_t NumBlocks);
 
   /// Closes the ring and joins the consumer if finish() never ran.
   ~TracePipeline();
@@ -84,8 +78,8 @@ public:
   uint64_t onProgress(const BlockTrace &T);
 
   /// Hands off the partial tail segment, drains the consumer, and
-  /// assembles the container and stitched index. Call exactly once,
-  /// after recording completes.
+  /// assembles the container. Call exactly once, after recording
+  /// completes.
   Result finish(const BlockTrace &T);
 
 private:
@@ -97,7 +91,6 @@ private:
 
   const uint64_t Budget;
   const size_t NumBlocks;
-  const bool WantFile;
 
   /// Producer side: events already handed to the consumer.
   uint64_t DoneThrough = 0;
@@ -109,8 +102,7 @@ private:
 
   /// Consumer-owned accumulation (read by finish() only after the drain).
   std::vector<TraceSegmentRecord> Segments;
-  std::vector<TraceIndex::SegmentPart> Parts;
-  uint64_t RunPos = 0, RunInsts = 0, RunTaken = 0;
+  uint64_t RunInsts = 0, RunTaken = 0;
   uint64_t WorkMicros = 0;
 
   /// Declared last so the worker never outlives the state above.

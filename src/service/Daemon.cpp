@@ -24,9 +24,14 @@ Daemon::Daemon(DaemonOptions Opts)
 Daemon::~Daemon() {
   requestStop();
   // run() joins its threads before returning; this covers the case where
-  // start() succeeded but run() was never entered.
-  std::lock_guard<std::mutex> Guard(ConnsLock);
-  for (std::thread &T : Threads)
+  // start() succeeded but run() was never entered. Join outside ConnsLock:
+  // a finishing connection thread takes it to retire its socket.
+  std::vector<std::thread> ToJoin;
+  {
+    std::lock_guard<std::mutex> Guard(ConnsLock);
+    ToJoin.swap(Threads);
+  }
+  for (std::thread &T : ToJoin)
     if (T.joinable())
       T.join();
 }
@@ -201,5 +206,12 @@ void Daemon::serveConnection(std::shared_ptr<Connection> Conn) {
   }
 
   DrainWorkers();
+  // Retire the connection under ConnsLock: once its LiveConns entry is
+  // gone, requestStop() can no longer reach this socket, so it never
+  // shuts down a descriptor number that close() has released for reuse.
+  std::lock_guard<std::mutex> Guard(ConnsLock);
+  std::erase_if(LiveConns, [&](const std::weak_ptr<Connection> &W) {
+    return W.expired() || W.lock() == Conn;
+  });
   Conn->Sock.close();
 }

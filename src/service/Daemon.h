@@ -93,7 +93,9 @@ private:
   UnixListener Listener;
   std::atomic<bool> Stopping{false};
 
-  std::mutex ConnsLock; ///< guards Threads + LiveConns
+  /// Guards Threads and LiveConns; a connection's socket is closed only
+  /// under it, after the connection left LiveConns (see serveConnection).
+  std::mutex ConnsLock;
   std::vector<std::thread> Threads;
   std::vector<std::weak_ptr<Connection>> LiveConns;
 };

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The varint/zigzag primitives shared by every tpdbt binary format
-/// (TPDT traces, TPDX indexes, the TPDZ frame header). Unsigned values
-/// are LEB128: seven payload bits per byte, high bit marks continuation.
+/// (TPDT traces, the TPDZ frame header). Unsigned values are LEB128:
+/// seven payload bits per byte, high bit marks continuation.
 /// Signed deltas go through zigzag so small negative values stay short.
 ///
 /// getVarint rejects encodings wider than 64 bits and truncated input by

@@ -1,7 +1,6 @@
 //===- tests/core/ExperimentTest.cpp - Experiment context tests -*- C++ -*-===//
 
 #include "core/Experiment.h"
-#include "core/TraceIndex.h"
 
 #include "support/Compression.h"
 #include "support/TextFile.h"
@@ -69,22 +68,19 @@ TEST(ExperimentContextTest, CacheRoundTrip) {
   ExperimentContext Ctx1(tinyConfig(Dir));
   auto FirstOps = Ctx1.inip("art", 2000).ProfilingOps;
   EXPECT_TRUE(std::filesystem::exists(Dir));
-  size_t ProfFiles = 0, TraceFiles = 0, IndexFiles = 0;
+  size_t ProfFiles = 0, TraceFiles = 0;
   for (const auto &E : std::filesystem::directory_iterator(Dir)) {
     if (E.path().extension() == ".prof")
       ++ProfFiles;
     else if (E.path().extension() == ".trace")
       ++TraceFiles;
-    else if (E.path().extension() == ".idx")
-      ++IndexFiles;
     else
       ADD_FAILURE() << "unexpected cache file " << E.path();
   }
   // 2 thresholds + AVEP + train for one benchmark.
   EXPECT_EQ(ProfFiles, 4u);
-  // One recorded trace per input, each with its analytic-index sidecar.
+  // One recorded trace per input; the analytic index is never persisted.
   EXPECT_EQ(TraceFiles, 2u);
-  EXPECT_EQ(IndexFiles, 2u);
 
   // A fresh context must load identical data from the cache.
   ExperimentContext Ctx2(tinyConfig(Dir));
@@ -245,7 +241,7 @@ TEST(ExperimentContextTest, ConcurrentWritersSameCacheKey) {
             profile::printSnapshot(B.inip("art", 100)));
 
   // Every file in the cache dir parses cleanly and no temporaries leak.
-  size_t ProfFiles = 0, TraceFiles = 0, IndexFiles = 0;
+  size_t ProfFiles = 0, TraceFiles = 0;
   for (const auto &E : std::filesystem::directory_iterator(Dir)) {
     std::string Path = E.path().string();
     auto Text = readTextFile(Path);
@@ -265,15 +261,6 @@ TEST(ExperimentContextTest, ConcurrentWritersSameCacheKey) {
       ++TraceFiles;
       continue;
     }
-    if (E.path().extension() == ".idx") {
-      std::string Raw, Err;
-      ASSERT_TRUE(decompressBytes(*Text, Raw, &Err)) << Path << ": " << Err;
-      core::TraceIndex Idx;
-      EXPECT_TRUE(core::TraceIndex::parse(Raw, Idx, &Err)) << Path << ": "
-                                                           << Err;
-      ++IndexFiles;
-      continue;
-    }
     ASSERT_EQ(E.path().extension(), ".prof") << Path;
     profile::ProfileSnapshot S;
     std::string Err;
@@ -282,9 +269,8 @@ TEST(ExperimentContextTest, ConcurrentWritersSameCacheKey) {
   }
   // 2 thresholds + AVEP + train, for two benchmarks.
   EXPECT_EQ(ProfFiles, 8u);
-  // One trace per (benchmark, input), each with an index sidecar.
+  // One trace per (benchmark, input) and nothing else.
   EXPECT_EQ(TraceFiles, 4u);
-  EXPECT_EQ(IndexFiles, 4u);
   std::filesystem::remove_all(Dir);
 }
 

@@ -2,7 +2,10 @@
 
 #include "core/TraceCache.h"
 
+#include "core/TraceSegments.h"
 #include "support/TextFile.h"
+#include "workloads/BenchSpec.h"
+#include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
 
@@ -41,20 +44,24 @@ struct BudgetFixture {
     ::setenv("TPDBT_CACHE_MAX_BYTES", std::to_string(Bytes).c_str(), 1);
   }
 
-  /// Writes a .trace file (with an .idx sidecar) of \p Bytes total and
-  /// stamps it \p AgeSeconds into the past, so recency order is explicit
-  /// rather than racing the filesystem clock.
+  /// Writes a .trace file of \p Bytes and stamps it \p AgeSeconds into
+  /// the past, so recency order is explicit rather than racing the
+  /// filesystem clock.
   std::string addEntry(const std::string &Stem, size_t Bytes,
                        int AgeSeconds) {
     const std::string Trace = (Dir / (Stem + ".trace")).string();
-    const std::string Idx = Trace + ".idx";
-    writeTextFile(Trace, std::string(Bytes / 2, 't'));
-    writeTextFile(Idx, std::string(Bytes - Bytes / 2, 'i'));
-    const auto Stamp = fs::file_time_type::clock::now() -
-                       std::chrono::seconds(AgeSeconds);
-    fs::last_write_time(Trace, Stamp);
-    fs::last_write_time(Idx, Stamp);
+    writeTextFile(Trace, std::string(Bytes, 't'));
+    fs::last_write_time(Trace, fs::file_time_type::clock::now() -
+                                   std::chrono::seconds(AgeSeconds));
     return Trace;
+  }
+
+  /// Plants the `<trace>.idx` index sidecar an older build wrote next to
+  /// each entry.
+  static std::string plantSidecar(const std::string &Trace, size_t Bytes) {
+    const std::string Idx = Trace + ".idx";
+    writeTextFile(Idx, std::string(Bytes, 'i'));
+    return Idx;
   }
 };
 
@@ -73,7 +80,7 @@ TEST(CacheMaxBytesTest, ReadsEnvironmentFresh) {
 TEST(TraceCacheEvictionTest, EvictsOldestEntriesUntilUnderBudget) {
   BudgetFixture F;
   // Four 1000-byte entries, oldest first; a 3000-byte budget must drop
-  // exactly the oldest one (trace + sidecar together).
+  // exactly the oldest one.
   const std::string Oldest = F.addEntry("a.ref.0001", 1000, 400);
   const std::string Mid1 = F.addEntry("b.ref.0002", 1000, 300);
   const std::string Mid2 = F.addEntry("c.ref.0003", 1000, 200);
@@ -84,7 +91,6 @@ TEST(TraceCacheEvictionTest, EvictsOldestEntriesUntilUnderBudget) {
   Cache.enforceBudget();
 
   EXPECT_FALSE(fs::exists(Oldest));
-  EXPECT_FALSE(fs::exists(TraceCache::indexPath(Oldest)));
   EXPECT_TRUE(fs::exists(Mid1));
   EXPECT_TRUE(fs::exists(Mid2));
   EXPECT_TRUE(fs::exists(Newest));
@@ -134,11 +140,65 @@ TEST(TraceCacheEvictionTest, RecentUseProtectsAnEntry) {
   // Simulate a disk hit on Hot: bump its recency to "now".
   const auto Now = fs::file_time_type::clock::now();
   fs::last_write_time(Hot, Now);
-  fs::last_write_time(TraceCache::indexPath(Hot), Now);
   F.setBudget(1000);
 
   TraceCache Cache(F.Dir.string());
   Cache.enforceBudget();
   EXPECT_TRUE(fs::exists(Hot));
   EXPECT_FALSE(fs::exists(Cold));
+}
+
+TEST(TraceCacheEvictionTest, BudgetCountsOnlyTraceBytes) {
+  BudgetFixture F;
+  // Stale sidecars dwarf the traces, as they did in caches written while
+  // the index was persisted; the budget is about .trace bytes alone.
+  const std::string Old = F.addEntry("a.ref.0001", 1000, 200);
+  const std::string New = F.addEntry("b.ref.0002", 1000, 100);
+  const std::string OldIdx = F.plantSidecar(Old, 50000);
+  const std::string NewIdx = F.plantSidecar(New, 50000);
+  F.setBudget(2000);
+
+  TraceCache Cache(F.Dir.string());
+  Cache.enforceBudget();
+  EXPECT_TRUE(fs::exists(Old));
+  EXPECT_TRUE(fs::exists(New));
+  EXPECT_EQ(Cache.stats().Evictions.load(), 0u);
+
+  // Evicting an entry takes its stale sidecar along, and only the trace
+  // bytes count as freed.
+  F.setBudget(1000);
+  Cache.enforceBudget();
+  EXPECT_FALSE(fs::exists(Old));
+  EXPECT_FALSE(fs::exists(OldIdx));
+  EXPECT_TRUE(fs::exists(New));
+  EXPECT_TRUE(fs::exists(NewIdx));
+  EXPECT_EQ(Cache.stats().Evictions.load(), 1u);
+  EXPECT_EQ(Cache.stats().EvictedBytes.load(), 1000u);
+}
+
+TEST(TraceCacheEvictionTest, StaleSidecarIsRemovedOnDiskHit) {
+  BudgetFixture F;
+  ::unsetenv("TPDBT_CACHE_MAX_BYTES");
+  ::unsetenv("TPDBT_SEGMENT_EVENTS"); // openSegmented needs a v3 entry
+  auto B = workloads::generateBenchmark(
+      workloads::scaledSpec(*workloads::findSpec("gzip"), 0.01));
+  std::string Entry;
+  {
+    TraceCache Cold(F.Dir.string());
+    ASSERT_NE(Cold.get("gzip", "ref", 0x42, B.Ref, 2000), nullptr);
+    Entry = Cold.entryPath("gzip", "ref", 0x42);
+  }
+  const std::string Idx = F.plantSidecar(Entry, 4096);
+
+  TraceCache Warm(F.Dir.string());
+  ASSERT_NE(Warm.get("gzip", "ref", 0x42, B.Ref, 2000), nullptr);
+  EXPECT_EQ(Warm.stats().DiskHits.load(), 1u);
+  EXPECT_TRUE(fs::exists(Entry));
+  EXPECT_FALSE(fs::exists(Idx));
+
+  // The sampled-replay open path is a hit too.
+  F.plantSidecar(Entry, 4096);
+  SegmentedTraceReader Reader;
+  ASSERT_TRUE(Warm.openSegmented("gzip", "ref", 0x42, Reader, nullptr));
+  EXPECT_FALSE(fs::exists(Idx));
 }

@@ -4,15 +4,16 @@
 
 #include "core/Trace.h"
 #include "core/TraceCache.h"
-#include "support/Compression.h"
-#include "support/TextFile.h"
-#include "support/Varint.h"
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <stdexcept>
+
+#include <unistd.h>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
@@ -118,44 +119,6 @@ TEST(TraceIndexTest, FirstOutcomeChangeMatchesBruteForce) {
   }
 }
 
-TEST(TraceIndexTest, SerializeParseRoundTrip) {
-  BlockTrace T = recordedTrace("art");
-  const TraceIndex &Idx = T.index();
-  std::string Bytes = Idx.serialize();
-
-  TraceIndex Q;
-  std::string Error;
-  ASSERT_TRUE(TraceIndex::parse(Bytes, Q, &Error)) << Error;
-  EXPECT_TRUE(Q.matches(T));
-  ASSERT_EQ(Q.numBlocks(), Idx.numBlocks());
-  ASSERT_EQ(Q.numEvents(), Idx.numEvents());
-  for (size_t B = 0; B < Q.numBlocks(); ++B) {
-    const auto Id = static_cast<guest::BlockId>(B);
-    ASSERT_EQ(Q.occurrences(Id), Idx.occurrences(Id));
-    for (uint32_t K = 0; K < Q.occurrences(Id); K += 5)
-      EXPECT_EQ(Q.position(Id, K), Idx.position(Id, K));
-    EXPECT_EQ(Q.takenOfFirst(Id, Q.occurrences(Id)),
-              Idx.takenOfFirst(Id, Idx.occurrences(Id)));
-    EXPECT_EQ(Q.instsOfFirst(Id, Q.occurrences(Id)),
-              Idx.instsOfFirst(Id, Idx.occurrences(Id)));
-  }
-  // Canonical encoding.
-  EXPECT_EQ(Q.serialize(), Bytes);
-}
-
-TEST(TraceIndexTest, ParseRejectsCorruption) {
-  BlockTrace T = recordedTrace("eon", 500);
-  std::string Bytes = T.index().serialize();
-  TraceIndex Q;
-  EXPECT_FALSE(TraceIndex::parse("garbage", Q, nullptr));
-  EXPECT_FALSE(
-      TraceIndex::parse(Bytes.substr(0, Bytes.size() - 3), Q, nullptr));
-  EXPECT_FALSE(TraceIndex::parse(Bytes + "x", Q, nullptr));
-  std::string BadMagic = Bytes;
-  BadMagic[0] = 'X';
-  EXPECT_FALSE(TraceIndex::parse(BadMagic, Q, nullptr));
-}
-
 TEST(TraceIndexTest, MatchesRejectsOtherTrace) {
   BlockTrace A = recordedTrace("gzip", 1000);
   BlockTrace B = recordedTrace("gzip", 1001);
@@ -163,143 +126,98 @@ TEST(TraceIndexTest, MatchesRejectsOtherTrace) {
   EXPECT_FALSE(A.index().matches(B));
 }
 
-TEST(TraceIndexTest, AdoptIndexRejectsMismatch) {
-  BlockTrace A = recordedTrace("art", 800);
-  BlockTrace B = recordedTrace("art", 900);
-  auto Foreign = std::make_shared<TraceIndex>(TraceIndex::build(B));
-  EXPECT_FALSE(A.adoptIndex(Foreign));
-  EXPECT_EQ(A.sharedIndex(), nullptr);
-  auto Own = std::make_shared<TraceIndex>(TraceIndex::build(A));
-  EXPECT_TRUE(A.adoptIndex(Own));
-  EXPECT_EQ(A.sharedIndex(), Own);
+TEST(TraceIndexTest, PositionLimitIsCheckedInEveryBuildType) {
+  // A fake event count stands in for a 4 G-event trace: the check is a
+  // plain branch, not an assert, so it runs in Release builds too.
+  EXPECT_NO_THROW(TraceIndex::checkPositionLimit((1ull << 32) - 1, "x"));
+  try {
+    TraceIndex::checkPositionLimit(1ull << 32, "gzip.ref");
+    FAIL() << "a 2^32-event trace must be refused";
+  } catch (const std::length_error &E) {
+    const std::string Msg = E.what();
+    EXPECT_NE(Msg.find("gzip.ref"), std::string::npos) << Msg;
+    EXPECT_NE(Msg.find("4294967296"), std::string::npos) << Msg;
+  }
+  EXPECT_THROW(TraceIndex::checkPositionLimit(~0ull, ""), std::length_error);
 }
 
-TEST(TraceIndexTest, CacheWritesAndAdoptsSidecar) {
-  const std::string Dir = "/tmp/tpdbt_trace_index_test";
+TEST(TraceIndexTest, CacheWritesOnlyTheTraceEntry) {
+  const std::string Dir =
+      (std::filesystem::temp_directory_path() /
+       ("tpdbt_trace_index_test_" + std::to_string(::getpid())))
+          .string();
   std::filesystem::remove_all(Dir);
   auto B = smallBench("gzip");
 
   {
+    // A cold get with a disk layer writes exactly one .trace per key and
+    // builds no index: replay builds it on demand.
+    TraceCache Cache(Dir);
+    auto Ref = Cache.get("gzip", "ref", 0x1234, B.Ref, 5000);
+    auto Train = Cache.get("gzip", "train", 0x1234, B.Train, 5000);
+    ASSERT_NE(Ref, nullptr);
+    ASSERT_NE(Train, nullptr);
+    EXPECT_EQ(Cache.stats().Misses.load(), 2u);
+    EXPECT_EQ(Cache.stats().IndexBuilds.load(), 0u);
+    EXPECT_EQ(Ref->sharedIndex(), nullptr);
+    EXPECT_EQ(Ref->name(), "gzip.ref");
+    std::vector<std::string> Files;
+    for (const auto &E : std::filesystem::directory_iterator(Dir))
+      Files.push_back(E.path().filename().string());
+    std::sort(Files.begin(), Files.end());
+    ASSERT_EQ(Files.size(), 2u);
+    EXPECT_EQ(Dir + "/" + Files[0], Cache.entryPath("gzip", "ref", 0x1234));
+    EXPECT_EQ(Dir + "/" + Files[1],
+              Cache.entryPath("gzip", "train", 0x1234));
+  }
+
+  {
+    // A warm hit serves the trace alone; its index is built lazily and
+    // equals a fresh build over a direct recording.
     TraceCache Cache(Dir);
     auto T = Cache.get("gzip", "ref", 0x1234, B.Ref, 5000);
     ASSERT_NE(T, nullptr);
-    // The default miss path streams through the segment pipeline, which
-    // stitches the index from per-segment parts instead of a counted
-    // monolithic build.
-    EXPECT_EQ(Cache.stats().StreamedRecords.load(), 1u);
-    EXPECT_EQ(Cache.stats().IndexBuilds.load(), 0u);
+    EXPECT_EQ(Cache.stats().DiskHits.load(), 1u);
     EXPECT_EQ(Cache.stats().IndexHits.load(), 0u);
-    // The sidecar sits next to the trace entry and parses cleanly, with
-    // the segment directory carried through (TPDX v2).
-    const std::string Sidecar =
-        TraceCache::indexPath(Cache.entryPath("gzip", "ref", 0x1234));
-    auto Packed = readTextFile(Sidecar);
-    ASSERT_TRUE(Packed.has_value());
-    std::string Raw, Error;
-    ASSERT_TRUE(decompressBytes(*Packed, Raw, &Error)) << Error;
-    TraceIndex Idx;
-    ASSERT_TRUE(TraceIndex::parse(Raw, Idx, &Error)) << Error;
-    EXPECT_TRUE(Idx.matches(*T));
-    EXPECT_FALSE(Idx.segmentDirectory().empty());
-  }
-
-  {
-    // A fresh cache adopts the sidecar instead of rebuilding.
-    TraceCache Cache(Dir);
-    auto T = Cache.get("gzip", "ref", 0x1234, B.Ref, 5000);
-    ASSERT_NE(T, nullptr);
-    EXPECT_EQ(Cache.stats().IndexHits.load(), 1u);
-    EXPECT_EQ(Cache.stats().IndexBuilds.load(), 0u);
-    EXPECT_NE(T->sharedIndex(), nullptr);
-  }
-
-  {
-    // A corrupt sidecar is counted, rebuilt, and rewritten.
-    const std::string Sidecar = TraceCache::indexPath(
-        TraceCache(Dir).entryPath("gzip", "ref", 0x1234));
-    ASSERT_TRUE(writeTextFileAtomic(Sidecar, "not an index"));
-    TraceCache Cache(Dir);
-    auto T = Cache.get("gzip", "ref", 0x1234, B.Ref, 5000);
-    ASSERT_NE(T, nullptr);
-    EXPECT_EQ(Cache.stats().CorruptIndexEntries.load(), 1u);
-    EXPECT_EQ(Cache.stats().IndexBuilds.load(), 1u);
-    // The rewrite leaves a good sidecar behind.
-    TraceCache Fresh(Dir);
-    auto U = Fresh.get("gzip", "ref", 0x1234, B.Ref, 5000);
-    ASSERT_NE(U, nullptr);
-    EXPECT_EQ(Fresh.stats().IndexHits.load(), 1u);
+    EXPECT_EQ(T->sharedIndex(), nullptr);
+    EXPECT_TRUE(T->index().matches(BlockTrace::record(B.Ref, 5000)));
+    EXPECT_FALSE(std::filesystem::exists(
+        Cache.entryPath("gzip", "ref", 0x1234) + ".idx"));
   }
 
   std::filesystem::remove_all(Dir);
 }
 
-TEST(TraceIndexTest, ParseRejectsHostileSegmentDirectories) {
-  // Hand-built TPDX v2 prefixes: every hostile field must fail its own
-  // bound check, never size an allocation or narrow through uint32.
-  auto header = [](uint64_t Blocks, uint64_t Events, uint64_t Insts,
-                   uint64_t Taken, uint64_t Budget, uint64_t Segments) {
-    std::string Out("TPDX", 4);
-    Out.push_back(2); // segmented version
-    putVarint(Out, Blocks);
-    putVarint(Out, Events);
-    putVarint(Out, Insts);
-    putVarint(Out, Taken);
-    putVarint(Out, Budget);
-    putVarint(Out, Segments);
-    return Out;
-  };
-  TraceIndex Q;
+TEST(TraceIndexTest, WarmDiskHitReplayMatchesColdInMemory) {
+  const std::string Dir =
+      (std::filesystem::temp_directory_path() /
+       ("tpdbt_trace_index_warm_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(Dir);
+  auto B = smallBench("mcf");
+  const std::vector<uint64_t> Thresholds = {1, 50, 500, 2000, 50};
+  const dbt::DbtOptions Opts;
 
-  // Segment count beyond the event count (and the byte budget).
-  {
-    std::string Bytes = header(2, 8, 20, 3, 256, uint64_t(1) << 40);
-    Bytes.resize(Bytes.size() + 32, '\0');
-    std::string Error;
-    EXPECT_FALSE(TraceIndex::parse(Bytes, Q, &Error));
-    EXPECT_NE(Error.find("implausible index segment count"),
-              std::string::npos);
+  auto sweepText = [&](const SweepResult &R) {
+    std::string Out;
+    for (const profile::ProfileSnapshot &S : R.PerThreshold)
+      Out += profile::printSnapshot(S);
+    return Out + profile::printSnapshot(R.Average);
+  };
+
+  TraceCache Memory("");
+  auto Cold = Memory.get("mcf", "ref", 0x99, B.Ref, 30000);
+  const std::string Expected =
+      sweepText(replaySweep(*Cold, B.Ref, Thresholds, Opts, 1));
+
+  TraceCache(Dir).get("mcf", "ref", 0x99, B.Ref, 30000);
+  for (unsigned Jobs : {1u, 4u}) {
+    TraceCache Warm(Dir);
+    auto T = Warm.get("mcf", "ref", 0x99, B.Ref, 30000);
+    ASSERT_EQ(Warm.stats().DiskHits.load(), 1u);
+    EXPECT_EQ(sweepText(replaySweep(*T, B.Ref, Thresholds, Opts, Jobs)),
+              Expected)
+        << "jobs " << Jobs;
   }
-  // Nonzero directory with a zero budget.
-  {
-    std::string Bytes = header(2, 8, 20, 3, 0, 1);
-    Bytes.resize(Bytes.size() + 32, '\0');
-    std::string Error;
-    EXPECT_FALSE(TraceIndex::parse(Bytes, Q, &Error));
-    EXPECT_NE(Error.find("zero budget"), std::string::npos);
-  }
-  // A zero-length directory row.
-  {
-    std::string Bytes = header(2, 8, 20, 3, 256, 1);
-    putVarint(Bytes, 0); // Events = 0
-    putVarint(Bytes, 0);
-    putVarint(Bytes, 0);
-    Bytes.resize(Bytes.size() + 32, '\0');
-    std::string Error;
-    EXPECT_FALSE(TraceIndex::parse(Bytes, Q, &Error));
-    EXPECT_NE(Error.find("outside budget"), std::string::npos);
-  }
-  // A row whose event count overflows the budget and the uint32 cast.
-  {
-    std::string Bytes = header(2, 8, 20, 3, 256, 1);
-    putVarint(Bytes, (uint64_t(1) << 32) + 8);
-    putVarint(Bytes, 0);
-    putVarint(Bytes, 0);
-    Bytes.resize(Bytes.size() + 32, '\0');
-    EXPECT_FALSE(TraceIndex::parse(Bytes, Q, nullptr));
-  }
-  // Rows summing past the trace's event count fail at the second row,
-  // before the sum could wrap.
-  {
-    std::string Bytes = header(2, 8, 20, 3, 8, 2);
-    putVarint(Bytes, 8);
-    putVarint(Bytes, 10);
-    putVarint(Bytes, 2);
-    putVarint(Bytes, 8); // second row: sum = 16 > 8 events
-    putVarint(Bytes, 20);
-    putVarint(Bytes, 3);
-    Bytes.resize(Bytes.size() + 32, '\0');
-    std::string Error;
-    EXPECT_FALSE(TraceIndex::parse(Bytes, Q, &Error));
-    EXPECT_NE(Error.find("disagrees with event count"), std::string::npos);
-  }
+  std::filesystem::remove_all(Dir);
 }

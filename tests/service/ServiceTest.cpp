@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -358,4 +359,40 @@ TEST(DaemonTest, MalformedFrameEarnsErrorAndClose) {
   EXPECT_EQ(Type, MsgType::Error);
   // The daemon closes the connection afterwards.
   EXPECT_FALSE(readFrame(Sock, Type, Body, &Error));
+}
+
+TEST(DaemonTest, StopWhileClientsDisconnect) {
+  // Clients hang up at the moment the daemon is told to stop, so
+  // connection threads retire their sockets while requestStop() walks
+  // the live connections. Each round must drain cleanly; under
+  // ThreadSanitizer this is the regression test for the stop/close race
+  // on a connection's descriptor.
+  for (int Round = 0; Round < 25; ++Round) {
+    DaemonFixture F;
+    constexpr int Clients = 6;
+    std::vector<UnixSocket> Socks;
+    for (int C = 0; C < Clients; ++C) {
+      Socks.push_back(F.connect());
+      // One answered frame proves the connection thread is serving.
+      ASSERT_TRUE(
+          writeFrame(Socks.back(), MsgType::Stats, encodeStats(StatsMsg())));
+      MsgType Type;
+      std::string Body, Error;
+      ASSERT_TRUE(readFrame(Socks.back(), Type, Body, &Error)) << Error;
+      ASSERT_EQ(Type, MsgType::Stats);
+    }
+    std::atomic<bool> Go{false};
+    std::vector<std::thread> Hangups;
+    for (UnixSocket &S : Socks)
+      Hangups.emplace_back([&Go, &S] {
+        while (!Go.load(std::memory_order_acquire))
+          std::this_thread::yield();
+        S.close();
+      });
+    Go.store(true, std::memory_order_release);
+    F.D->requestStop();
+    for (std::thread &T : Hangups)
+      T.join();
+    F.Runner.join(); // run() returns with every connection drained
+  }
 }
