@@ -145,31 +145,6 @@ BENCHMARK_CAPTURE(BM_RecordBenchmarkNoJit, swim, "swim")
 BENCHMARK_CAPTURE(BM_RecordBenchmarkNoJit, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
-/// The record pass with the jit tier on but its scheduled backend off
-/// (TPDBT_JIT_SCHED=0, plain program-order lowering): the gap to the
-/// plain BM_RecordBenchmark row is what per-segment list scheduling,
-/// direct-destination lowering, the fall-through self-loop latch, and
-/// grouped exit stubs buy on top of the jit tier itself.
-void BM_RecordBenchmarkNoSched(benchmark::State &State, const char *Name) {
-  auto B = workloads::generateBenchmark(
-      workloads::scaledSpec(*workloads::findSpec(Name), 0.02));
-  setenv("TPDBT_JIT_SCHED", "0", 1);
-  uint64_t Events = 0;
-  for (auto _ : State) {
-    core::BlockTrace T = core::BlockTrace::record(B.Ref, ~0ull);
-    Events += T.numEvents();
-    benchmark::DoNotOptimize(T.totalInsts());
-  }
-  unsetenv("TPDBT_JIT_SCHED");
-  State.SetItemsProcessed(static_cast<int64_t>(Events));
-}
-BENCHMARK_CAPTURE(BM_RecordBenchmarkNoSched, gzip, "gzip")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RecordBenchmarkNoSched, swim, "swim")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RecordBenchmarkNoSched, mcf, "mcf")
-    ->Unit(benchmark::kMillisecond);
-
 /// The full cold-record cache miss — interpret, serialize, compress,
 /// write .trace — through the segmented pipeline (TPDBT_SEGMENT_EVENTS at
 /// its default) vs. the monolithic v2 writer (the =0 kill switch). On

@@ -214,11 +214,6 @@ TraceCache::get(const std::string &Name, const std::string &Input,
   Stats.JitFlushes.fetch_add(Tier.JitFlushes, std::memory_order_relaxed);
   Stats.JitCompileMicros.fetch_add(Tier.JitCompileMicros,
                                    std::memory_order_relaxed);
-  Stats.JitSchedUnits.fetch_add(Tier.JitSchedUnits, std::memory_order_relaxed);
-  Stats.JitReorderedOps.fetch_add(Tier.JitReorderedOps,
-                                  std::memory_order_relaxed);
-  Stats.JitStubsDeduped.fetch_add(Tier.JitStubsDeduped,
-                                  std::memory_order_relaxed);
   Recorded->setName(Name + "." + Input);
   if (Pipe) {
     // Streamed path: the pipeline already compressed every segment behind

@@ -3,47 +3,25 @@
 // Lowering reference: vm/Interpreter.h executeOps()/evalBranch()/
 // evalFusedCmp(). Every case here must produce bit-identical register,
 // memory, and fault behavior; tests/jit/JitLoweringTest.cpp checks each
-// opcode differentially against executeOps, and tests/jit/JitSchedTest.cpp
-// checks the scheduled backend against the program-order one.
+// opcode differentially against executeOps, and random bodies, chains and
+// self-loops against a reference built from the same interpreter entry
+// points.
 //
-// With CompileOptions::Schedule (the default; TPDBT_JIT_SCHED=0 turns it
-// off) the backend runs an optimizing pass per segment:
-//
-//  * list scheduling — a sched::DepGraph in fault-barrier mode over the
-//    decoded ops, scheduled on sched::MachineModel::hostX86, emitted in
-//    schedule order. Loads/stores never move (a fault must observe the
-//    exact program-order prefix), so reordering is confined to the pure
-//    windows between memory ops and the event stream is unchanged by
-//    construction. Schedule::verify is asserted in debug builds.
-//  * direct-destination lowering — ops whose destination lives in a
-//    callee-saved host register compute into it directly instead of
-//    round-tripping through RAX.
-//  * fall-through latch — a compiled self-loop's staying (predicted)
-//    direction is the single backward conditional branch; leaving falls
-//    through into the cold exit sequence. One branch per iteration
-//    instead of two.
-//  * grouped exit stubs — stubs with the same Done share one epilogue
-//    tail (mov rax, done; jmp flush), so a memory-heavy segment's fault
-//    stubs stop duplicating it.
+// Ops are lowered one at a time in program order, so a faulting Load/Store
+// always observes the exact program-order prefix.
 //
 //===----------------------------------------------------------------------===//
 
 #include "jit/ChainCompiler.h"
 
-#include "dbt/CostModel.h"
 #include "guest/Isa.h"
 #include "jit/Emitter.h"
-#include "sched/DepGraph.h"
-#include "sched/ListScheduler.h"
 
 #include <algorithm>
 #include <array>
 #include <cassert>
 #include <climits>
 #include <cstdint>
-#include <map>
-#include <numeric>
-#include <string>
 
 using namespace tpdbt;
 using namespace tpdbt::jit;
@@ -65,9 +43,7 @@ constexpr HostReg Pool[6] = {RBX, RBP, R12, R13, R14, R15};
 
 class Compiler {
 public:
-  explicit Compiler(const CompileOptions &Opts) : Opt(Opts) { HostOf.fill(-1); }
-
-  const CompileStats &stats() const { return CS; }
+  Compiler() { HostOf.fill(-1); }
 
   std::vector<uint8_t> chain(const JitSegment *Segs, size_t N) {
     for (size_t I = 0; I < N; ++I) {
@@ -112,19 +88,6 @@ public:
       // Jump-to-self: every executed iteration stays.
       E.inc(Iter);
       E.jmp(Top);
-    } else if (Opt.Schedule) {
-      // Prediction-directed latch: staying is the predicted direction, so
-      // it gets the single (backward, taken-while-spinning) conditional
-      // branch; leaving falls through into the cold exit sequence. The
-      // iteration counter is bumped with lea between the condition
-      // evaluation and the jcc because lea leaves the flags alone.
-      const Cond Taken = emitTakenCond(T);
-      E.lea(Iter, Iter, 1);
-      E.jcc(StayBranch == 2 ? Taken : negate(Taken), Top);
-      // The deviating (exiting) execution is not a stay: undo the bump.
-      E.lea(RAX, Iter, -1);
-      E.movImm(RDX, static_cast<int64_t>(offInfo(StayBranch != 2)));
-      E.jmp(FlushL);
     } else {
       const Cond Taken = emitTakenCond(T);
       if (StayBranch == 2)
@@ -210,11 +173,6 @@ private:
 
   // --- Guest register access (host reg or in-place Regs slot) -----------
 
-  /// Host register holding guest \p G under the optimizing backend, or
-  /// -1 when the op must go through the classic RAX round trip (guest
-  /// register not host-allocated, or the pass is disabled).
-  int directDest(uint8_t G) const { return Opt.Schedule ? HostOf[G] : -1; }
-
   void loadG(HostReg D, uint8_t G) {
     if (HostOf[G] >= 0)
       E.movRR(D, static_cast<HostReg>(HostOf[G]));
@@ -271,14 +229,8 @@ private:
   /// Every exit funnels through the flush: host-allocated guest registers
   /// are written back to the Regs array — this *is* the deopt state
   /// materialization — then callee-saves are restored. rax/rdx already
-  /// hold the packed JitExit.
-  ///
-  /// The stubs live after the flush epilogue, out of the hot straight-
-  /// line code. Under the optimizing backend, stubs that report the same
-  /// Done are emitted as one group: each member sets only its Info and
-  /// the group shares a single `mov rax, done; jmp flush` tail (the last
-  /// member falls through into it) — memory-heavy segments stop
-  /// duplicating the epilogue per fault stub.
+  /// hold the packed JitExit. The exit stubs follow the flush, out of the
+  /// hot straight-line code.
   std::vector<uint8_t> finishUnit() {
     E.bind(FlushL);
     for (const auto &A : Allocated)
@@ -286,69 +238,24 @@ private:
     for (auto It = Allocated.rbegin(); It != Allocated.rend(); ++It)
       E.pop(It->first);
     E.ret();
-    if (!Opt.Schedule) {
-      for (const Stub &S : Stubs) {
-        E.bind(S.L);
-        if (S.FromIter)
-          E.movRR(RAX, Iter);
-        else
-          E.movImm(RAX, static_cast<int64_t>(S.Done));
-        E.movImm(RDX, static_cast<int64_t>(S.Info));
-        E.jmp(FlushL);
-      }
-      return E.finish();
-    }
-    // Group by shared tail: FromIter stubs all report RAX = Iter, the
-    // rest key on their Done constant. Groups emit in first-appearance
-    // order, members in creation order.
-    std::vector<size_t> Emitted(Stubs.size(), 0);
-    for (size_t I = 0; I < Stubs.size(); ++I) {
-      if (Emitted[I])
-        continue;
-      std::vector<size_t> Group;
-      for (size_t J = I; J < Stubs.size(); ++J)
-        if (!Emitted[J] && Stubs[J].FromIter == Stubs[I].FromIter &&
-            (Stubs[I].FromIter || Stubs[J].Done == Stubs[I].Done)) {
-          Group.push_back(J);
-          Emitted[J] = 1;
-        }
-      CS.StubsDeduped += Group.size() - 1;
-      for (size_t K = 0; K < Group.size(); ++K) {
-        const Stub &S = Stubs[Group[K]];
-        E.bind(S.L);
-        E.movImm(RDX, static_cast<int64_t>(S.Info));
-        if (K + 1 < Group.size())
-          E.jmp(tailLabel(I));
-        // The last member falls through into the shared tail.
-      }
-      if (Group.size() > 1)
-        E.bind(tailLabel(I));
-      if (Stubs[I].FromIter)
+    for (const Stub &S : Stubs) {
+      E.bind(S.L);
+      if (S.FromIter)
         E.movRR(RAX, Iter);
       else
-        E.movImm(RAX, static_cast<int64_t>(Stubs[I].Done));
+        E.movImm(RAX, static_cast<int64_t>(S.Done));
+      E.movImm(RDX, static_cast<int64_t>(S.Info));
       E.jmp(FlushL);
     }
     return E.finish();
   }
 
-  /// One shared-tail label per group leader, created on demand.
-  Emitter::Label tailLabel(size_t Leader) {
-    auto It = Tails.find(Leader);
-    if (It != Tails.end())
-      return It->second;
-    const Emitter::Label L = E.newLabel();
-    Tails.emplace(Leader, L);
-    return L;
-  }
-
+  /// Identical exits (same Done/FromIter/Info) share one stub.
   Emitter::Label stub(uint64_t Done, bool FromIter, uint64_t Info) {
     for (const Stub &S : Stubs)
       if (S.FromIter == FromIter && S.Info == Info &&
-          (FromIter || S.Done == Done)) {
-        ++CS.StubsDeduped;
+          (FromIter || S.Done == Done))
         return S.L;
-      }
     Stubs.push_back(Stub{E.newLabel(), Done, FromIter, Info});
     return Stubs.back().L;
   }
@@ -357,108 +264,38 @@ private:
     return stub(Done, FromIter, faultInfo(OpIdx));
   }
 
-  // --- Scheduling -------------------------------------------------------
-
-  /// True when scheduling could move anything at all: Loads/Stores are
-  /// barriers in both directions, so without at least one window of two
-  /// consecutive non-memory ops the schedule is the program order and
-  /// building the graph is wasted compile time.
-  static bool hasReorderableWindow(const Interpreter::DecodedOp *Begin,
-                                   const Interpreter::DecodedOp *End) {
-    size_t Run = 0;
-    for (const Interpreter::DecodedOp *Op = Begin; Op != End; ++Op) {
-      if (Op->Op == Opcode::Load || Op->Op == Opcode::Store)
-        Run = 0;
-      else if (++Run >= 2)
-        return true;
-    }
-    return false;
-  }
-
-  /// Emission order for the segment [Begin, End): schedule order under
-  /// the optimizing backend when the segment clears the CostModel floor
-  /// and has a window the fault barriers would let move, program order
-  /// otherwise. Indices are program-order positions, so a fault keeps
-  /// reporting its original op index.
-  std::vector<uint32_t> emissionOrder(const Interpreter::DecodedOp *Begin,
-                                      const Interpreter::DecodedOp *End) {
-    const size_t N = static_cast<size_t>(End - Begin);
-    std::vector<uint32_t> Order(N);
-    std::iota(Order.begin(), Order.end(), 0u);
-    if (!Opt.Schedule || !schedulingWorthwhile(N) ||
-        !hasReorderableWindow(Begin, End))
-      return Order;
-    sched::DepGraph G(/*WithFaultBarriers=*/true);
-    for (const Interpreter::DecodedOp *Op = Begin; Op != End; ++Op)
-      G.addInst(guest::Inst{Op->Op, Op->Rd, Op->Ra, Op->Rb, Op->Imm});
-    const sched::MachineModel M = sched::MachineModel::hostX86();
-    const sched::Schedule S = sched::listSchedule(G, M);
-#ifndef NDEBUG
-    {
-      std::string Err;
-      assert(S.verify(G, M, &Err) && "jit segment schedule infeasible");
-    }
-#endif
-    // Dependences always carry >= 1 cycle of separation, so sorting by
-    // (cycle, program index) is a dependence-respecting total order.
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&](uint32_t A, uint32_t B) {
-                       return S.CycleOf[A] != S.CycleOf[B]
-                                  ? S.CycleOf[A] < S.CycleOf[B]
-                                  : A < B;
-                     });
-    ++CS.SchedSegments;
-    for (uint32_t I = 0; I < N; ++I)
-      CS.ReorderedOps += Order[I] != I;
-    return Order;
-  }
-
   // --- Op lowering ------------------------------------------------------
 
   void emitBody(const Interpreter::DecodedOp *Begin,
                 const Interpreter::DecodedOp *End, uint64_t Done,
                 bool FromIter) {
-    for (uint32_t J : emissionOrder(Begin, End))
-      lowerOp(Begin[J], Done, FromIter, J);
+    for (const Interpreter::DecodedOp *Op = Begin; Op != End; ++Op)
+      lowerOp(*Op, Done, FromIter, static_cast<uint64_t>(Op - Begin));
   }
 
   void lowerOp(const Interpreter::DecodedOp &O, uint64_t Done, bool FromIter,
                uint64_t J) {
     switch (O.Op) {
     case Opcode::Add:
-      binary(Alu::Add, O, /*Commutes=*/true);
+      binary(Alu::Add, O);
       break;
     case Opcode::Sub:
-      binary(Alu::Sub, O, /*Commutes=*/false);
+      binary(Alu::Sub, O);
       break;
     case Opcode::And:
-      binary(Alu::And, O, /*Commutes=*/true);
+      binary(Alu::And, O);
       break;
     case Opcode::Or:
-      binary(Alu::Or, O, /*Commutes=*/true);
+      binary(Alu::Or, O);
       break;
     case Opcode::Xor:
-      binary(Alu::Xor, O, /*Commutes=*/true);
+      binary(Alu::Xor, O);
       break;
-    case Opcode::Mul: {
-      const int D = directDest(O.Rd);
-      if (D >= 0) {
-        const HostReg H = static_cast<HostReg>(D);
-        if (O.Rd == O.Ra) {
-          imulG(H, O.Rb);
-        } else if (O.Rd == O.Rb) { // imul commutes
-          imulG(H, O.Ra);
-        } else {
-          loadG(H, O.Ra);
-          imulG(H, O.Rb);
-        }
-        break;
-      }
+    case Opcode::Mul:
       loadG(RAX, O.Ra);
       imulG(RAX, O.Rb);
       storeG(O.Rd, RAX);
       break;
-    }
     case Opcode::Divs:
       divRem(O, /*Rem=*/false);
       break;
@@ -474,42 +311,13 @@ private:
     case Opcode::Sar:
       shiftReg(Shift::Sar, O);
       break;
-    case Opcode::AddI: {
-      const int D = directDest(O.Rd);
-      if (D >= 0) {
-        const HostReg H = static_cast<HostReg>(D);
-        if (O.Rd != O.Ra)
-          loadG(H, O.Ra);
-        if (O.Imm)
-          aluImm64(Alu::Add, H, O.Imm);
-        break;
-      }
+    case Opcode::AddI:
       loadG(RAX, O.Ra);
       if (O.Imm)
         aluImm64(Alu::Add, RAX, O.Imm);
       storeG(O.Rd, RAX);
       break;
-    }
-    case Opcode::MulI: {
-      const int D = directDest(O.Rd);
-      if (D >= 0) {
-        const HostReg H = static_cast<HostReg>(D);
-        if (Emitter::fitsI32(O.Imm)) {
-          if (HostOf[O.Ra] >= 0) {
-            E.imulImm(H, static_cast<HostReg>(HostOf[O.Ra]),
-                      static_cast<int32_t>(O.Imm));
-          } else {
-            loadG(H, O.Ra);
-            E.imulImm(H, H, static_cast<int32_t>(O.Imm));
-          }
-        } else {
-          E.movImm(RDI, O.Imm);
-          if (O.Rd != O.Ra)
-            loadG(H, O.Ra);
-          E.imul(H, RDI);
-        }
-        break;
-      }
+    case Opcode::MulI:
       loadG(RAX, O.Ra);
       if (Emitter::fitsI32(O.Imm)) {
         E.imulImm(RAX, RAX, static_cast<int32_t>(O.Imm));
@@ -519,21 +327,30 @@ private:
       }
       storeG(O.Rd, RAX);
       break;
-    }
     case Opcode::AndI:
-      binaryImm(Alu::And, O);
+      loadG(RAX, O.Ra);
+      aluImm64(Alu::And, RAX, O.Imm);
+      storeG(O.Rd, RAX);
       break;
     case Opcode::OrI:
-      binaryImm(Alu::Or, O);
+      loadG(RAX, O.Ra);
+      aluImm64(Alu::Or, RAX, O.Imm);
+      storeG(O.Rd, RAX);
       break;
     case Opcode::XorI:
-      binaryImm(Alu::Xor, O);
+      loadG(RAX, O.Ra);
+      aluImm64(Alu::Xor, RAX, O.Imm);
+      storeG(O.Rd, RAX);
       break;
     case Opcode::ShlI:
-      shiftImm(Shift::Shl, O);
+      loadG(RAX, O.Ra);
+      E.shiftImm(Shift::Shl, RAX, static_cast<uint8_t>(O.Imm & 63));
+      storeG(O.Rd, RAX);
       break;
     case Opcode::ShrI:
-      shiftImm(Shift::Shr, O);
+      loadG(RAX, O.Ra);
+      E.shiftImm(Shift::Shr, RAX, static_cast<uint8_t>(O.Imm & 63));
+      storeG(O.Rd, RAX);
       break;
     case Opcode::CmpEq:
       cmpRR(Cond::E, O);
@@ -553,39 +370,20 @@ private:
     case Opcode::CmpLtUI:
       cmpRI(Cond::B, O);
       break;
-    case Opcode::MovI: {
-      const int D = directDest(O.Rd);
-      if (D >= 0) {
-        E.movImm(static_cast<HostReg>(D), O.Imm);
-        break;
-      }
+    case Opcode::MovI:
       E.movImm(RAX, O.Imm);
       storeG(O.Rd, RAX);
       break;
-    }
-    case Opcode::Mov: {
-      const int D = directDest(O.Rd);
-      if (D >= 0) {
-        if (O.Rd != O.Ra)
-          loadG(static_cast<HostReg>(D), O.Ra);
-        break;
-      }
+    case Opcode::Mov:
       loadG(RAX, O.Ra);
       storeG(O.Rd, RAX);
       break;
-    }
-    case Opcode::Load: {
+    case Opcode::Load:
       address(O);
       E.jcc(Cond::Ae, faultStub(Done, FromIter, J));
-      const int D = directDest(O.Rd);
-      if (D >= 0) {
-        E.loadIndex8(static_cast<HostReg>(D), MemBase, RAX);
-        break;
-      }
       E.loadIndex8(RAX, MemBase, RAX);
       storeG(O.Rd, RAX);
       break;
-    }
     case Opcode::Store:
       address(O);
       E.jcc(Cond::Ae, faultStub(Done, FromIter, J));
@@ -604,16 +402,10 @@ private:
     case Opcode::FDiv:
       fbin(Sse::DivSd, O);
       break;
-    case Opcode::FConst: {
-      const int D = directDest(O.Rd);
-      if (D >= 0) {
-        E.movImm(static_cast<HostReg>(D), O.Imm); // raw double bits
-        break;
-      }
+    case Opcode::FConst:
       E.movImm(RAX, O.Imm); // Imm carries the raw double bits
       storeG(O.Rd, RAX);
       break;
-    }
     case Opcode::FCmpLt:
       E.zero(RCX);
       loadG(RAX, O.Ra);
@@ -627,18 +419,12 @@ private:
       E.setcc(Cond::A, RCX);
       storeG(O.Rd, RCX);
       break;
-    case Opcode::IToF: {
+    case Opcode::IToF:
       loadG(RAX, O.Ra);
       E.cvtsi2sd(0, RAX);
-      const int D = directDest(O.Rd);
-      if (D >= 0) {
-        E.movqFromXmm(static_cast<HostReg>(D), 0);
-        break;
-      }
       E.movqFromXmm(RAX, 0);
       storeG(O.Rd, RAX);
       break;
-    }
     case Opcode::FToI: {
       // isfinite(D) ? (int64)D : 0 — finiteness is "exponent field not
       // all ones" on the raw bits, no FP compare needed.
@@ -664,69 +450,13 @@ private:
     }
   }
 
-  void binary(Alu A, const Interpreter::DecodedOp &O, bool Commutes) {
-    const int D = directDest(O.Rd);
-    if (D >= 0) {
-      const HostReg H = static_cast<HostReg>(D);
-      if (O.Rd == O.Ra) {
-        aluG(A, H, O.Rb);
-        return;
-      }
-      if (O.Rd != O.Rb) {
-        loadG(H, O.Ra);
-        aluG(A, H, O.Rb);
-        return;
-      }
-      if (Commutes) { // Rd aliases Rb
-        aluG(A, H, O.Ra);
-        return;
-      }
-      // Sub with Rd == Rb still needs the round trip.
-    }
+  void binary(Alu A, const Interpreter::DecodedOp &O) {
     loadG(RAX, O.Ra);
     aluG(A, RAX, O.Rb);
     storeG(O.Rd, RAX);
   }
 
-  /// AndI/OrI/XorI (AddI keeps its skip-zero special case inline).
-  void binaryImm(Alu A, const Interpreter::DecodedOp &O) {
-    const int D = directDest(O.Rd);
-    if (D >= 0) {
-      const HostReg H = static_cast<HostReg>(D);
-      if (O.Rd != O.Ra)
-        loadG(H, O.Ra);
-      aluImm64(A, H, O.Imm);
-      return;
-    }
-    loadG(RAX, O.Ra);
-    aluImm64(A, RAX, O.Imm);
-    storeG(O.Rd, RAX);
-  }
-
-  void shiftImm(Shift K, const Interpreter::DecodedOp &O) {
-    const int D = directDest(O.Rd);
-    if (D >= 0) {
-      const HostReg H = static_cast<HostReg>(D);
-      if (O.Rd != O.Ra)
-        loadG(H, O.Ra);
-      E.shiftImm(K, H, static_cast<uint8_t>(O.Imm & 63));
-      return;
-    }
-    loadG(RAX, O.Ra);
-    E.shiftImm(K, RAX, static_cast<uint8_t>(O.Imm & 63));
-    storeG(O.Rd, RAX);
-  }
-
   void cmpRR(Cond C, const Interpreter::DecodedOp &O) {
-    const int D = directDest(O.Rd);
-    if (D >= 0 && O.Rd != O.Ra && O.Rd != O.Rb) {
-      const HostReg H = static_cast<HostReg>(D);
-      E.zero(H);
-      loadG(RAX, O.Ra);
-      aluG(Alu::Cmp, RAX, O.Rb);
-      E.setcc(C, H);
-      return;
-    }
     E.zero(RCX);
     loadG(RAX, O.Ra);
     aluG(Alu::Cmp, RAX, O.Rb);
@@ -735,15 +465,6 @@ private:
   }
 
   void cmpRI(Cond C, const Interpreter::DecodedOp &O) {
-    const int D = directDest(O.Rd);
-    if (D >= 0 && O.Rd != O.Ra) {
-      const HostReg H = static_cast<HostReg>(D);
-      E.zero(H);
-      loadG(RAX, O.Ra);
-      aluImm64(Alu::Cmp, RAX, O.Imm);
-      E.setcc(C, H);
-      return;
-    }
     E.zero(RCX);
     loadG(RAX, O.Ra);
     aluImm64(Alu::Cmp, RAX, O.Imm);
@@ -754,15 +475,6 @@ private:
   void shiftReg(Shift K, const Interpreter::DecodedOp &O) {
     // The hardware masks the CL count to 63 in 64-bit mode — the guest's
     // "& 63" for free.
-    const int D = directDest(O.Rd);
-    if (D >= 0) {
-      const HostReg H = static_cast<HostReg>(D);
-      loadG(RCX, O.Rb); // count first: H may alias guest Rb
-      if (O.Rd != O.Ra)
-        loadG(H, O.Ra);
-      E.shiftCl(K, H);
-      return;
-    }
     loadG(RAX, O.Ra);
     loadG(RCX, O.Rb);
     E.shiftCl(K, RAX);
@@ -802,11 +514,6 @@ private:
     loadG(RAX, O.Rb);
     E.movqToXmm(1, RAX);
     E.sse(Op, 0, 1);
-    const int D = directDest(O.Rd);
-    if (D >= 0) {
-      E.movqFromXmm(static_cast<HostReg>(D), 0);
-      return;
-    }
     E.movqFromXmm(RAX, 0);
     storeG(O.Rd, RAX);
   }
@@ -906,8 +613,7 @@ private:
 
   /// The guard: deviating from the predicted edge exits through a deopt
   /// stub whose taken bit is the *actual* (unpredicted) direction. The
-  /// predicted successor stays the fall-through — initial prediction
-  /// decides the layout.
+  /// predicted successor stays the fall-through.
   void emitChainGuard(const JitSegment &S, size_t Idx) {
     if (S.Term.Code == Interpreter::TermCode::Jump)
       return; // static successor — nothing can deviate
@@ -919,51 +625,26 @@ private:
   }
 
   Emitter E;
-  CompileOptions Opt;
-  CompileStats CS;
   std::array<int8_t, guest::NumRegs> HostOf;
   uint32_t Uses[guest::NumRegs] = {};
   std::vector<std::pair<HostReg, uint8_t>> Allocated;
   std::vector<Stub> Stubs;
-  std::map<size_t, Emitter::Label> Tails;
   Emitter::Label FlushL = 0;
 };
 
 } // namespace
 
-bool tpdbt::jit::schedulingWorthwhile(size_t NumOps) {
-  // dbt::CostModel break-even: scheduling costs ~JitSchedCompilePerOp
-  // cycles per op once; a unit is expected to run ~JitSchedExpectedUses
-  // times, each recovering at most one issue slot per reorderable pair
-  // (NumOps - 1, the optimistic in-order bound). Below the floor there
-  // are no pairs worth moving at all.
-  static const dbt::CostParams P;
-  if (NumOps < P.JitSchedMinOps)
-    return false;
-  return P.JitSchedExpectedUses * (NumOps - 1) >=
-         P.JitSchedCompilePerOp * NumOps;
-}
-
 std::vector<uint8_t> tpdbt::jit::compileChain(const JitSegment *Segs,
-                                              size_t N,
-                                              const CompileOptions &Opts,
-                                              CompileStats *Stats) {
-  Compiler C(Opts);
-  std::vector<uint8_t> Code = C.chain(Segs, N);
-  if (Stats)
-    *Stats = C.stats();
-  return Code;
+                                              size_t N) {
+  Compiler C;
+  return C.chain(Segs, N);
 }
 
 std::vector<uint8_t>
-tpdbt::jit::compileSelfLoop(const vm::Interpreter::DecodedOp *Begin,
-                            const vm::Interpreter::DecodedOp *End,
-                            const vm::Interpreter::DecodedTerm &Term,
-                            uint8_t StayBranch, const CompileOptions &Opts,
-                            CompileStats *Stats) {
-  Compiler C(Opts);
-  std::vector<uint8_t> Code = C.selfLoop(Begin, End, Term, StayBranch);
-  if (Stats)
-    *Stats = C.stats();
-  return Code;
+tpdbt::jit::compileSelfLoop(const Interpreter::DecodedOp *Begin,
+                            const Interpreter::DecodedOp *End,
+                            const Interpreter::DecodedTerm &Term,
+                            uint8_t StayBranch) {
+  Compiler C;
+  return C.selfLoop(Begin, End, Term, StayBranch);
 }

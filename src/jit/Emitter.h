@@ -281,15 +281,6 @@ public:
     modrm(3, 0, R);
   }
 
-  /// lea Dst, [Base + Disp] — add-without-flags; the self-loop latch uses
-  /// it to bump the iteration counter between the condition evaluation
-  /// and the conditional branch that consumes the flags.
-  void lea(HostReg Dst, HostReg Base, int32_t Disp) {
-    rex(true, Dst, 0, Base);
-    byte(0x8D);
-    mem(Dst, Base, Disp);
-  }
-
   // --- Control flow -----------------------------------------------------
 
   void jcc(Cond C, Label L) {

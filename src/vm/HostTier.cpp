@@ -25,26 +25,33 @@ bool HostTier::jitEnabled() {
   return !(V && V[0] == '0' && V[1] == '\0');
 }
 
-bool HostTier::jitSchedEnabled() {
-  const char *V = std::getenv("TPDBT_JIT_SCHED");
-  return !(V && V[0] == '0' && V[1] == '\0');
+/// Reads \p Name as a decimal count. False (the caller keeps its default)
+/// when it is unset, empty, or not all digits: "-1", "abc" and "1M" are
+/// rejected rather than wrapped or truncated by strtoull.
+static bool envCount(const char *Name, unsigned long long &Out) {
+  const char *V = std::getenv(Name);
+  if (!V || !V[0])
+    return false;
+  for (const char *P = V; *P; ++P)
+    if (*P < '0' || *P > '9')
+      return false;
+  Out = std::strtoull(V, nullptr, 10);
+  return true;
 }
 
 uint32_t HostTier::jitHeat() {
-  const char *V = std::getenv("TPDBT_JIT_HEAT");
-  if (!V || !V[0])
+  unsigned long long N = 0;
+  if (!envCount("TPDBT_JIT_HEAT", N))
     return DefaultJitHeat;
-  const unsigned long long N = std::strtoull(V, nullptr, 10);
   if (N < 1)
     return 1;
   return N > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(N);
 }
 
 size_t HostTier::jitCacheBytes() {
-  const char *V = std::getenv("TPDBT_JIT_CACHE_BYTES");
-  if (!V || !V[0])
+  unsigned long long N = 0;
+  if (!envCount("TPDBT_JIT_CACHE_BYTES", N))
     return DefaultJitCacheBytes;
-  const unsigned long long N = std::strtoull(V, nullptr, 10);
   return N < 4096 ? 4096 : static_cast<size_t>(N);
 }
 
@@ -55,7 +62,6 @@ HostTier::HostTier(const Interpreter &I) : I(I), Cache(jitCacheBytes()) {
   LastNext.assign(N, InvalidBlock);
   SameCount.assign(N, 0);
   JitOn = jitEnabled();
-  JitOpts.Schedule = jitSchedEnabled();
   JitHeatVal = jitHeat();
   LoopFn.assign(N, nullptr);
   LoopNoJit.assign(N, 0);
@@ -92,9 +98,7 @@ jit::JitFn HostTier::compileChainFn(Superblock &S) {
     Segs[K].Term = G.Term;
     Segs[K].ExpectTaken = S.Events[K].Branch == 2;
   }
-  jit::CompileStats CS;
-  const std::vector<uint8_t> Code =
-      jit::compileChain(Segs.data(), Segs.size(), JitOpts, &CS);
+  const std::vector<uint8_t> Code = jit::compileChain(Segs.data(), Segs.size());
   const void *Entry = installCode(Code);
   St.JitCompileMicros += std::chrono::duration_cast<std::chrono::microseconds>(
                              std::chrono::steady_clock::now() - T0)
@@ -104,18 +108,14 @@ jit::JitFn HostTier::compileChainFn(Superblock &S) {
     return nullptr;
   }
   ++St.JitUnits;
-  St.JitSchedUnits += CS.SchedSegments;
-  St.JitReorderedOps += CS.ReorderedOps;
-  St.JitStubsDeduped += CS.StubsDeduped;
   return S.Fn = reinterpret_cast<jit::JitFn>(const_cast<void *>(Entry));
 }
 
 jit::JitFn HostTier::compileLoopFn(BlockId B) {
   const auto T0 = std::chrono::steady_clock::now();
-  jit::CompileStats CS;
   const std::vector<uint8_t> Code = jit::compileSelfLoop(
       I.Ops.data() + I.First[B], I.Ops.data() + I.First[B + 1], I.Terms[B],
-      I.selfLoop(B).StayBranch, JitOpts, &CS);
+      I.selfLoop(B).StayBranch);
   const void *Entry = installCode(Code);
   St.JitCompileMicros += std::chrono::duration_cast<std::chrono::microseconds>(
                              std::chrono::steady_clock::now() - T0)
@@ -125,9 +125,6 @@ jit::JitFn HostTier::compileLoopFn(BlockId B) {
     return nullptr;
   }
   ++St.JitUnits;
-  St.JitSchedUnits += CS.SchedSegments;
-  St.JitReorderedOps += CS.ReorderedOps;
-  St.JitStubsDeduped += CS.StubsDeduped;
   return LoopFn[B] = reinterpret_cast<jit::JitFn>(const_cast<void *>(Entry));
 }
 

@@ -46,12 +46,10 @@
 /// stream stays byte-identical to plain interpretation, jit or not.
 /// TPDBT_HOST_JIT=0 disables only the jit tier (pre-decoded dispatch
 /// remains); non-x86-64 builds degrade the same way automatically.
-/// TPDBT_JIT_SCHED=0 keeps the jit tier but reverts its backend to plain
-/// program-order lowering (no list scheduling, no direct-destination
-/// lowering, no fall-through latch or grouped stub tails) — the A/B
-/// switch for the scheduled backend. The jit knobs are re-read per
-/// HostTier construction, so tests and benches can flip them without a
-/// process restart.
+/// The jit backend lowers ops in program order and lays the predicted
+/// successor out as the fall-through (see jit/ChainCompiler.h). The jit
+/// knobs are re-read per HostTier construction, so tests and benches can
+/// flip them without a process restart.
 ///
 /// Fallback accounting: a deviating chain execution bumps exactly one
 /// counter — Fallbacks when the guard fired in the pre-decoded tier,
@@ -98,10 +96,6 @@ struct HostTierStats {
   uint64_t JitDeopts = 0;        ///< guard/fault exits from compiled code
   uint64_t JitFlushes = 0;       ///< whole-code-cache flushes (cache full)
   uint64_t JitCompileMicros = 0; ///< wall time spent compiling + installing
-  // Scheduled-backend accounting (TPDBT_JIT_SCHED; jit::CompileStats).
-  uint64_t JitSchedUnits = 0;    ///< segments list-scheduled before lowering
-  uint64_t JitReorderedOps = 0;  ///< ops emitted off their program-order slot
-  uint64_t JitStubsDeduped = 0;  ///< exit-stub bodies shared, not duplicated
 
   HostTierStats &operator+=(const HostTierStats &O) {
     Superblocks += O.Superblocks;
@@ -115,9 +109,6 @@ struct HostTierStats {
     JitDeopts += O.JitDeopts;
     JitFlushes += O.JitFlushes;
     JitCompileMicros += O.JitCompileMicros;
-    JitSchedUnits += O.JitSchedUnits;
-    JitReorderedOps += O.JitReorderedOps;
-    JitStubsDeduped += O.JitStubsDeduped;
     return *this;
   }
 };
@@ -150,22 +141,16 @@ public:
   /// re-read per HostTier construction so tests can flip it in-process.
   static bool jitEnabled();
 
-  /// The TPDBT_JIT_SCHED kill switch for the optimizing backend pass
-  /// (per-segment list scheduling, direct-destination lowering, the
-  /// fall-through self-loop latch, grouped exit-stub tails — see
-  /// jit::CompileOptions). Any value other than "0" (including unset)
-  /// enables it; it only matters when jitEnabled() also holds. Re-read
-  /// per HostTier construction, like jitEnabled().
-  static bool jitSchedEnabled();
-
   /// TPDBT_JIT_HEAT: executions of a promoted chain (or iterations of a
   /// self-loop) before it is compiled. Defaults to DefaultJitHeat, which
   /// sits above PromoteHeat so only chains that survive promotion pay
-  /// compile cost. Clamped to >= 1.
+  /// compile cost. Clamped to >= 1; a value that is not all digits
+  /// ("-1", "abc") keeps the default.
   static uint32_t jitHeat();
 
   /// TPDBT_JIT_CACHE_BYTES: code cache capacity (default 1 MiB, rounded
-  /// up to whole pages, clamped to >= 4096).
+  /// up to whole pages, clamped to >= 4096; a value that is not all
+  /// digits, such as "1M", keeps the default).
   static size_t jitCacheBytes();
 
   /// True when this run's jit tier is active (knob + host support).
@@ -512,7 +497,6 @@ private:
   // Superblock itself.
   jit::CodeBuffer Cache;
   bool JitOn = false;
-  jit::CompileOptions JitOpts; ///< Schedule = jitSchedEnabled() at ctor time
   uint32_t JitHeatVal = DefaultJitHeat;
   std::vector<jit::JitFn> LoopFn;  ///< compiled self-loop entry, or null
   std::vector<uint8_t> LoopNoJit;  ///< compilation failed; do not retry

@@ -5,15 +5,17 @@
 // state as Interpreter::executeOps. Registers, memory, fault index, and
 // the packed exit info must agree bit for bit — including the
 // guest-defined corner cases (division by zero, INT64_MIN / -1, shift
-// counts past 63, NaN comparisons, non-finite FToI).
+// counts past 63, NaN comparisons, non-finite FToI). Randomized bodies,
+// chains and self-loops are checked against a reference built from the
+// same public interpreter entry points (executeOps, evalBranch,
+// evalFusedCmp).
 //
 //===----------------------------------------------------------------------===//
 
 #include "guest/Isa.h"
 #include "jit/ChainCompiler.h"
 #include "jit/CodeBuffer.h"
-#include "sched/DepGraph.h"
-#include "sched/ListScheduler.h"
+#include "support/Rng.h"
 #include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
@@ -57,22 +59,8 @@ jit::JitExit runJit(const std::vector<Op> &Ops, MachineState &S) {
   return Fn(S.Regs.data(), S.Mem.data(), S.Mem.size(), 1);
 }
 
-/// The backend asserts Schedule::verify only in debug builds; the tests
-/// re-check it here so Release runs catch an infeasible schedule too.
-void expectScheduleVerifies(const std::vector<Op> &Ops) {
-  if (!jit::schedulingWorthwhile(Ops.size()))
-    return;
-  sched::DepGraph G(/*WithFaultBarriers=*/true);
-  for (const Op &O : Ops)
-    G.addInst(guest::Inst{O.Op, O.Rd, O.Ra, O.Rb, O.Imm});
-  const sched::MachineModel M = sched::MachineModel::hostX86();
-  std::string Err;
-  EXPECT_TRUE(sched::listSchedule(G, M).verify(G, M, &Err)) << Err;
-}
-
 /// Runs \p Ops both ways from \p Init and requires identical end state.
 void expectSame(const std::vector<Op> &Ops, const MachineState &Init) {
-  expectScheduleVerifies(Ops);
   MachineState Ref = Init;
   const intptr_t Fault =
       Interpreter::executeOps(Ops.data(), Ops.data() + Ops.size(),
@@ -390,6 +378,17 @@ TEST_F(JitLoweringTest, MidChainFaultReportsSegmentLocalOpIndex) {
 
 // --- Self-loop compilation ----------------------------------------------
 
+/// Evaluates conditional terminator \p T on \p S the way executeBlock
+/// does (FusedBr writes its compare result to Rd) and returns whether the
+/// branch is taken.
+bool takenRef(const Term &T, MachineState &S) {
+  if (T.Code == Interpreter::TermCode::Branch)
+    return Interpreter::evalBranch(T, S.Regs.data());
+  const int64_t V = Interpreter::evalFusedCmp(T, S.Regs.data());
+  S.Regs[T.Rd] = V;
+  return T.Invert ? V == 0 : V != 0;
+}
+
 /// Reference for compiled self-loops: the generic tail of
 /// Interpreter::runSelfLoop expressed over the public decoded-op API.
 struct LoopRef {
@@ -411,18 +410,11 @@ LoopRef runLoopRef(const std::vector<Op> &Body, const Term &T,
       R.FaultIdx = F;
       return R;
     }
-    bool Taken;
     if (T.Code == Interpreter::TermCode::Jump) {
       ++R.Stays;
       continue;
     }
-    if (T.Code == Interpreter::TermCode::Branch) {
-      Taken = Interpreter::evalBranch(T, S.Regs.data());
-    } else {
-      const int64_t V = Interpreter::evalFusedCmp(T, S.Regs.data());
-      S.Regs[T.Rd] = V;
-      Taken = T.Invert ? V == 0 : V != 0;
-    }
+    const bool Taken = takenRef(T, S);
     const bool Stay = Taken == (StayBranch == 2);
     if (!Stay) {
       R.ExitValid = true;
@@ -536,6 +528,197 @@ TEST_F(JitLoweringTest, CodeBufferFlushAndExhaustion) {
       reinterpret_cast<jit::JitFn>(const_cast<void *>(Again));
   Fn(S.Regs.data(), S.Mem.data(), S.Mem.size(), 1);
   EXPECT_EQ(S.Regs[1], 42);
+}
+
+// --- Randomized differentials against the interpreter -------------------
+
+/// Random op soup over a small register window: every opcode the decoder
+/// can produce, immediates that stress both encodings, memory indices
+/// that hit and overrun the 8-word array so faults occur mid-body.
+std::vector<Op> randomBody(Rng &R, size_t N) {
+  static const Opcode Pool[] = {
+      Opcode::Add,    Opcode::Sub,    Opcode::Mul,    Opcode::Divs,
+      Opcode::Rems,   Opcode::And,    Opcode::Or,     Opcode::Xor,
+      Opcode::Shl,    Opcode::Shr,    Opcode::Sar,    Opcode::AddI,
+      Opcode::MulI,   Opcode::AndI,   Opcode::OrI,    Opcode::XorI,
+      Opcode::ShlI,   Opcode::ShrI,   Opcode::CmpEq,  Opcode::CmpLt,
+      Opcode::CmpLtU, Opcode::CmpEqI, Opcode::CmpLtI, Opcode::CmpLtUI,
+      Opcode::MovI,   Opcode::Mov,    Opcode::Load,   Opcode::Store,
+      Opcode::FAdd,   Opcode::FSub,   Opcode::FMul,   Opcode::FDiv,
+      Opcode::FConst, Opcode::FCmpLt, Opcode::IToF,   Opcode::FToI,
+      Opcode::Nop,
+  };
+  static const int64_t Imms[] = {0, 1, -1, 3, 7, 63, -64, 0x7fffffffLL,
+                                 -0x80000000LL, 0x1234567890LL};
+  std::vector<Op> Body;
+  for (size_t I = 0; I < N; ++I) {
+    const Opcode O = Pool[R.next() % (sizeof(Pool) / sizeof(Pool[0]))];
+    const uint8_t Rd = static_cast<uint8_t>(R.next() % 12);
+    const uint8_t Ra = static_cast<uint8_t>(R.next() % 12);
+    const uint8_t Rb = static_cast<uint8_t>(R.next() % 12);
+    int64_t Imm = Imms[R.next() % (sizeof(Imms) / sizeof(Imms[0]))];
+    if (O == Opcode::Load || O == Opcode::Store)
+      Imm = static_cast<int64_t>(R.next() % 12) - 2; // in range and out
+    Body.push_back(op(O, Rd, Ra, Rb, Imm));
+  }
+  return Body;
+}
+
+MachineState randomState(Rng &R) {
+  MachineState S;
+  S.Mem.assign(8, 0);
+  for (auto &W : S.Mem)
+    W = static_cast<int64_t>(R.next());
+  for (unsigned G = 0; G < guest::NumRegs; ++G)
+    S.Regs[G] = static_cast<int64_t>(R.next() % 32) - 4; // small indices
+  return S;
+}
+
+/// A random chain terminator: a plain Branch, a FusedBr, or a Jump.
+Term randomTerm(Rng &R, guest::BlockId Taken, guest::BlockId Fall) {
+  static const guest::CondKind Kinds[] = {
+      guest::CondKind::Eq,  guest::CondKind::Ne,  guest::CondKind::Lt,
+      guest::CondKind::Ge,  guest::CondKind::LtU, guest::CondKind::GeU,
+      guest::CondKind::EqI, guest::CondKind::NeI, guest::CondKind::LtI,
+      guest::CondKind::GeI};
+  static const Opcode Cmps[] = {Opcode::CmpEq,  Opcode::CmpLt,
+                                Opcode::CmpLtU, Opcode::CmpEqI,
+                                Opcode::CmpLtI, Opcode::CmpLtUI,
+                                Opcode::FCmpLt};
+  const uint8_t Rd = static_cast<uint8_t>(R.next() % 12);
+  const uint8_t Ra = static_cast<uint8_t>(R.next() % 12);
+  const uint8_t Rb = static_cast<uint8_t>(R.next() % 12);
+  const int64_t Imm = static_cast<int64_t>(R.next() % 16) - 8;
+  switch (R.next() % 4) {
+  case 0:
+  case 1:
+    return branchTerm(Kinds[R.next() % (sizeof(Kinds) / sizeof(Kinds[0]))],
+                      Ra, Rb, Imm, Taken, Fall);
+  case 2:
+    return fusedTerm(Cmps[R.next() % (sizeof(Cmps) / sizeof(Cmps[0]))], Rd,
+                     Ra, Rb, Imm, static_cast<uint8_t>(R.next() & 1), Taken,
+                     Fall);
+  default: {
+    Term T{};
+    T.Code = Interpreter::TermCode::Jump;
+    T.Taken = Taken;
+    T.Fall = Taken;
+    return T;
+  }
+  }
+}
+
+/// Reference for compiled chains: segment I starts only while I < Budget
+/// (a clean Ok stop with Done = I), a fault reports its segment (Done)
+/// and segment-local op index, and a guard that goes the unpredicted way
+/// leaves OffChain with the actual direction.
+struct ChainRef {
+  uint64_t Done = 0;
+  jit::ExitKind Kind = jit::ExitKind::Ok;
+  bool Taken = false;
+  intptr_t FaultIdx = -1;
+};
+
+ChainRef runChainRef(const std::vector<std::vector<Op>> &Bodies,
+                     const std::vector<Term> &Terms,
+                     const std::vector<bool> &ExpectTaken, MachineState &S,
+                     uint64_t Budget) {
+  ChainRef R;
+  for (; R.Done < Bodies.size(); ++R.Done) {
+    if (R.Done >= Budget)
+      return R;
+    const std::vector<Op> &Body = Bodies[R.Done];
+    R.FaultIdx =
+        Interpreter::executeOps(Body.data(), Body.data() + Body.size(),
+                                S.Regs.data(), S.Mem.data(), S.Mem.size());
+    if (R.FaultIdx >= 0) {
+      R.Kind = jit::ExitKind::Fault;
+      return R;
+    }
+    if (Terms[R.Done].Code == Interpreter::TermCode::Jump)
+      continue;
+    R.Taken = takenRef(Terms[R.Done], S);
+    if (R.Taken != ExpectTaken[R.Done]) {
+      R.Kind = jit::ExitKind::OffChain;
+      return R;
+    }
+  }
+  return R;
+}
+
+TEST_F(JitLoweringTest, RandomBodiesMatchInterpreter) {
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    SCOPED_TRACE(Seed);
+    Rng R(Seed * 0x9e3779b9u);
+    const size_t N = 1 + R.next() % 24;
+    const std::vector<Op> Body = randomBody(R, N);
+    expectSame(Body, randomState(R));
+  }
+}
+
+TEST_F(JitLoweringTest, RandomChainsMatchInterpreter) {
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    SCOPED_TRACE(Seed);
+    Rng R(Seed * 0x51ed2701u);
+    const size_t NSegs = 2 + R.next() % 3;
+    std::vector<std::vector<Op>> Bodies;
+    std::vector<Term> Terms;
+    std::vector<bool> Expect;
+    for (size_t K = 0; K < NSegs; ++K) {
+      Bodies.push_back(randomBody(R, 2 + R.next() % 10));
+      Terms.push_back(randomTerm(R, static_cast<guest::BlockId>(K + 1),
+                                 static_cast<guest::BlockId>(K + 7)));
+      Expect.push_back((R.next() & 1) != 0);
+    }
+    const MachineState Init = randomState(R);
+    const uint64_t Budget = 1 + R.next() % (NSegs + 1);
+
+    MachineState Ref = Init;
+    const ChainRef CR = runChainRef(Bodies, Terms, Expect, Ref, Budget);
+    const ChainRun C = runChain(Bodies, Terms, Expect, Init, Budget);
+    EXPECT_EQ(C.R.Done, CR.Done);
+    ASSERT_EQ(jit::exitKind(C.R.Info), CR.Kind);
+    if (CR.Kind == jit::ExitKind::Fault) {
+      EXPECT_EQ(jit::exitFaultOp(C.R.Info), static_cast<uint32_t>(CR.FaultIdx));
+    } else if (CR.Kind == jit::ExitKind::OffChain) {
+      EXPECT_EQ(jit::exitTaken(C.R.Info), CR.Taken);
+    }
+    EXPECT_EQ(C.S.Regs, Ref.Regs);
+    EXPECT_EQ(C.S.Mem, Ref.Mem);
+  }
+}
+
+TEST_F(JitLoweringTest, RandomSelfLoopsMatchInterpreter) {
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    SCOPED_TRACE(Seed);
+    Rng R(Seed * 0xc2b2ae35u);
+    // A counter-driven latch so most loops actually spin: r0 += 1 each
+    // iteration, stay while r0 < bound; the rest of the body is soup.
+    std::vector<Op> Body = randomBody(R, 1 + R.next() % 10);
+    Body.push_back(op(Opcode::AddI, 0, 0, 0, 1));
+    const int64_t Bound = static_cast<int64_t>(R.next() % 40);
+    const uint8_t StayBranch = (R.next() & 1) ? 2 : 1;
+    const Term T =
+        StayBranch == 2
+            ? branchTerm(guest::CondKind::LtI, 0, 0, Bound, 1, 2)
+            : branchTerm(guest::CondKind::GeI, 0, 0, Bound, 1, 2);
+    MachineState Init = randomState(R);
+    Init.Regs[0] = 0;
+    expectLoopSame(Body, T, StayBranch, Init, R.next() % 64);
+  }
+}
+
+TEST_F(JitLoweringTest, CompilationIsDeterministic) {
+  Rng R(0x5eed);
+  const std::vector<Op> Body = randomBody(R, 20);
+  const jit::JitSegment Seg{Body.data(), Body.data() + Body.size(),
+                            branchTerm(guest::CondKind::Lt, 1, 2, 0, 1, 2),
+                            true};
+  EXPECT_EQ(jit::compileChain(&Seg, 1), jit::compileChain(&Seg, 1));
+  const Term T = branchTerm(guest::CondKind::LtI, 0, 0, 10, 1, 2);
+  EXPECT_EQ(
+      jit::compileSelfLoop(Body.data(), Body.data() + Body.size(), T, 2),
+      jit::compileSelfLoop(Body.data(), Body.data() + Body.size(), T, 2));
 }
 
 } // namespace

@@ -368,6 +368,23 @@ TEST(JitTierTest, RecordedTraceBytesMatchPlainWithJitHot) {
   }
 }
 
+TEST(JitTierTest, KnobsRejectNonDigitValues) {
+  // A value that is not all digits keeps the default: strtoull alone
+  // would wrap "-1" to UINT32_MAX (jit off), read "abc" as 0 (clamped to
+  // 1, everything hot) and truncate "1M" to 1 (a 4 KiB cache).
+  for (const char *Bad : {"-1", "abc", "1M", ""}) {
+    ScopedEnv Heat("TPDBT_JIT_HEAT", Bad);
+    ScopedEnv Cache("TPDBT_JIT_CACHE_BYTES", Bad);
+    EXPECT_EQ(HostTier::jitHeat(), HostTier::DefaultJitHeat) << Bad;
+    EXPECT_EQ(HostTier::jitCacheBytes(), HostTier::DefaultJitCacheBytes)
+        << Bad;
+  }
+  ScopedEnv Heat("TPDBT_JIT_HEAT", "7");
+  ScopedEnv Cache("TPDBT_JIT_CACHE_BYTES", "65536");
+  EXPECT_EQ(HostTier::jitHeat(), 7u);
+  EXPECT_EQ(HostTier::jitCacheBytes(), 65536u);
+}
+
 TEST(JitTierTest, RandomizedDifferentialWithJitHot) {
   if (!HostTier::jitEnabled())
     GTEST_SKIP() << "jit tier unavailable";
