@@ -11,9 +11,7 @@
 #include "core/Trace.h"
 #include "core/TraceCache.h"
 #include "core/TraceIndex.h"
-#include "core/TraceSegments.h"
 #include "guest/ProgramBuilder.h"
-#include "support/TextFile.h"
 #include "vm/Interpreter.h"
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
@@ -145,22 +143,18 @@ BENCHMARK_CAPTURE(BM_RecordBenchmarkNoJit, swim, "swim")
 BENCHMARK_CAPTURE(BM_RecordBenchmarkNoJit, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
-/// The full cold-record cache miss — interpret, serialize, compress,
-/// write .trace — through the segmented pipeline (TPDBT_SEGMENT_EVENTS at
-/// its default) vs. the monolithic v2 writer (the =0 kill switch). On
-/// multi-core hosts the streamed row should undercut the sequential one:
-/// segment encode + compress overlap with recording. On a single
-/// hardware thread the two are expected to tie (same total work,
-/// different order). Neither row builds the analytic index; replay does
-/// that (BM_BuildTraceIndex).
-void recordColdMiss(benchmark::State &State, const char *Budget) {
+/// The full cold-record cache miss through the segment pipeline at the
+/// TPDBT_SEGMENT_EVENTS budget (default 65536): interpret, encode +
+/// compress each segment on the pipeline's consumer thread while
+/// recording continues, assemble the TPDT v3 container, write .trace. No
+/// index is built; replay does that (BM_BuildTraceIndex).
+void BM_RecordStreamed(benchmark::State &State, const char *) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("mcf"), 0.02));
   const std::string Dir =
       (std::filesystem::temp_directory_path() /
        ("tpdbt_bench_record_" + std::to_string(getpid())))
           .string();
-  setenv("TPDBT_SEGMENT_EVENTS", Budget, 1);
   uint64_t Events = 0;
   for (auto _ : State) {
     State.PauseTiming();
@@ -171,19 +165,10 @@ void recordColdMiss(benchmark::State &State, const char *Budget) {
     Events += T->numEvents();
     benchmark::DoNotOptimize(T->totalInsts());
   }
-  unsetenv("TPDBT_SEGMENT_EVENTS");
   std::filesystem::remove_all(Dir);
   State.SetItemsProcessed(static_cast<int64_t>(Events));
 }
-void BM_RecordStreamed(benchmark::State &State, const char *) {
-  recordColdMiss(State, "65536");
-}
-void BM_RecordSequential(benchmark::State &State, const char *) {
-  recordColdMiss(State, "0");
-}
 BENCHMARK_CAPTURE(BM_RecordStreamed, mcf, "mcf")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RecordSequential, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
 /// The trace-cache hit path: drive N thresholds from an indexed trace
@@ -231,41 +216,6 @@ void BM_ReplaySweepEventPump(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(Events));
 }
 BENCHMARK(BM_ReplaySweepEventPump)->Arg(1)->Arg(15)
-    ->Unit(benchmark::kMillisecond);
-
-/// The out-of-core replay path: the same event pump fed one decompressed
-/// segment at a time from a TPDT v3 file. The gap to
-/// BM_ReplaySweepEventPump at the same argument is the streaming tax
-/// (per-segment inflate + decode) bought for O(segment) peak memory.
-void BM_ReplayStreamedPump(benchmark::State &State) {
-  auto B = workloads::generateBenchmark(
-      workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));
-  core::BlockTrace T = core::BlockTrace::record(B.Ref, ~0ull);
-  const std::string Path =
-      (std::filesystem::temp_directory_path() /
-       ("tpdbt_bench_stream_" + std::to_string(getpid()) + ".trace"))
-          .string();
-  writeTextFileAtomic(Path, T.serializeSegmented(core::DefaultSegmentEvents));
-  std::vector<uint64_t> Thresholds;
-  for (int I = 0; I < State.range(0); ++I)
-    Thresholds.push_back(100ull << I);
-  uint64_t Events = 0;
-  for (auto _ : State) {
-    core::SegmentedTraceReader Reader;
-    std::string Error;
-    if (!core::SegmentedTraceReader::open(Path, Reader, &Error))
-      State.SkipWithError(Error.c_str());
-    core::SweepResult R;
-    if (!core::replaySweepStreamed(Reader, B.Ref, Thresholds,
-                                   dbt::DbtOptions(), R, &Error))
-      State.SkipWithError(Error.c_str());
-    Events += R.Average.BlockEvents;
-    benchmark::DoNotOptimize(R.Average.ProfilingOps);
-  }
-  std::filesystem::remove(Path);
-  State.SetItemsProcessed(static_cast<int64_t>(Events));
-}
-BENCHMARK(BM_ReplayStreamedPump)->Arg(1)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
 /// One-time cost of building the analytic index from a decoded trace,

@@ -27,8 +27,8 @@ using namespace tpdbt;
 
 namespace {
 
-/// One scale-0.2 workload, recorded once and serialized as a segmented
-/// v3 container: both benchmarks below sweep the paper's thresholds over
+/// One scale-0.2 workload, recorded once and serialized as a TPDT v3
+/// container at the default segment budget: both benchmarks below sweep the paper's thresholds over
 /// the identical execution.
 struct SampleSetup {
   workloads::GeneratedBenchmark B;
@@ -42,7 +42,7 @@ struct SampleSetup {
     Path = (std::filesystem::temp_directory_path() /
             "tpdbt_micro_sample.trace")
                .string();
-    writeTextFile(Path, Trace.serializeSegmented(core::DefaultSegmentEvents));
+    writeTextFile(Path, Trace.serialize());
   }
 
   static SampleSetup &instance() {

@@ -14,14 +14,11 @@
 /// twin of core::runSweep and produces byte-identical snapshots — a
 /// property test asserts that.
 ///
-/// Format (TPDT v2): little-endian; a small header (magic, version, block
-/// count, event count), the final per-block use/taken counters (two
-/// varints per block — they arm policy retirement and the analytic index
-/// without an O(events) pre-pass), then two varints per event: the block
-/// id delta-encoded against the previous event's id (zigzag) with the
-/// branch outcome folded into the low bits, and the executed instruction
-/// count. Typical traces take 2-3 bytes per event. Version 1 entries
-/// (no counter table) remain readable.
+/// Serialized traces use the segmented TPDT v3 container
+/// (core/TraceSegments.h, docs/CACHE_FORMAT.md): the final per-block
+/// use/taken counters (they arm policy retirement and the analytic index
+/// without an O(events) pre-pass) and a segment directory, then one
+/// TPDZ-compressed delta-varint payload per segment.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,6 +44,13 @@ struct HostTierStats;
 namespace core {
 
 class TraceIndex;
+
+/// Default per-segment event budget of the serialized form: 64Ki events
+/// (~1 MiB of decoded events, a few hundred KiB compressed) — big enough
+/// that per-segment overheads (TPDZ header, delta restart, directory row)
+/// are noise, small enough that dozens of segments are in flight even at
+/// bench scale.
+constexpr uint64_t DefaultSegmentEvents = uint64_t(1) << 16;
 
 /// One recorded block event.
 struct TraceEvent {
@@ -87,15 +91,12 @@ public:
                            const SegmentProgressFn &OnSegment = nullptr,
                            uint64_t SegmentBudget = 0);
 
-  /// Serializes to the binary format; parse() round-trips. parse() also
-  /// accepts version-1 entries (recorded before the counter table).
-  std::string serialize() const;
-
-  /// Serializes to the segmented TPDT v3 container (core/TraceSegments.h)
-  /// with \p Budget events per segment (>= 1; the last segment takes the
-  /// remainder). parse() reads v3 back; the result is event-identical to
-  /// this trace at any budget.
-  std::string serializeSegmented(uint64_t Budget) const;
+  /// Serializes to the TPDT v3 container with \p Budget events per
+  /// segment (>= 1; the last segment takes the remainder). parse() reads
+  /// it back event-identical at any budget.
+  std::string serialize(uint64_t Budget = DefaultSegmentEvents) const;
+  /// Parses a TPDT v3 container; any other input (including the retired
+  /// v1/v2 layouts) fails with \p Error set.
   static bool parse(const std::string &Bytes, BlockTrace &Out,
                     std::string *Error);
 
@@ -219,23 +220,6 @@ SweepResult replaySweepEvents(const BlockTrace &Trace,
                               const guest::Program &P,
                               const std::vector<uint64_t> &Thresholds,
                               const dbt::DbtOptions &Base);
-
-/// The chunked core of the event pump: identical policy semantics to
-/// replaySweepEvents (which is now a one-chunk wrapper), but the event
-/// stream arrives through \p NextChunk — set the pointer to the next
-/// contiguous slice and return its length, or return 0 at end of stream.
-/// Chunks are consumed strictly in order and the callee never looks past
-/// the current chunk, so a caller can hand out one segment-sized buffer
-/// at a time (core/TraceSegments.h replaySweepStreamed). The stream
-/// totals and final counters must describe the whole stream up front —
-/// they arm the retirement oracle and the settled fast-forward.
-SweepResult
-pumpSweepChunks(const guest::Program &P,
-                const std::vector<uint64_t> &Thresholds,
-                const dbt::DbtOptions &Base, uint64_t NumEvents,
-                uint64_t TotalInsts, uint64_t TakenTotal,
-                const std::vector<profile::BlockCounters> &Final,
-                const std::function<size_t(const TraceEvent *&)> &NextChunk);
 
 } // namespace core
 } // namespace tpdbt

@@ -4,7 +4,6 @@
 
 #include "core/TracePipeline.h"
 #include "core/TraceSegments.h"
-#include "support/Compression.h"
 #include "support/Format.h"
 #include "support/TextFile.h"
 #include "vm/HostTier.h"
@@ -111,38 +110,20 @@ std::string TraceCache::entryPath(const std::string &Name,
 
 std::shared_ptr<BlockTrace>
 TraceCache::loadDisk(const std::string &Path, const guest::Program &Program) {
-  auto Packed = readTextFile(Path);
-  if (!Packed)
+  auto Bytes = readTextFile(Path);
+  if (!Bytes)
     return nullptr;
-  // Sniff the outer framing: segmented (v3) containers start with the
-  // raw TPDT magic — each segment payload is its own TPDZ frame inside —
-  // while monolithic v1/v2 entries are one whole-file TPDZ frame.
-  std::string Raw;
-  const std::string *Bytes = &*Packed;
-  if (Packed->size() >= 4 && Packed->compare(0, 4, "TPDT", 4) == 0) {
-    // already raw
-  } else if (decompressBytes(*Packed, Raw, nullptr)) {
-    Bytes = &Raw;
-  } else {
-    Stats.CorruptEntries.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
   auto Trace = std::make_shared<BlockTrace>();
   if (!BlockTrace::parse(*Bytes, *Trace, nullptr) ||
       Trace->numBlocks() != Program.numBlocks()) {
-    // Torn, corrupt, or recorded for a different program shape (a stale
-    // key collision): treat as a miss and re-record.
+    // Torn, corrupt, written in a retired format (TPDT v1/v2 in a
+    // whole-file TPDZ frame), or recorded for a different program shape
+    // (a stale key collision): treat as a miss; the re-recording
+    // overwrites the entry.
     Stats.CorruptEntries.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
   return Trace;
-}
-
-void TraceCache::storeDisk(const std::string &Path,
-                           const BlockTrace &Trace) const {
-  if (!ensureDirectory(Dir))
-    return;
-  writeTextFileAtomic(Path, compressBytes(Trace.serialize()));
 }
 
 std::shared_ptr<const BlockTrace>
@@ -179,17 +160,17 @@ TraceCache::get(const std::string &Name, const std::string &Input,
   }
 
   Stats.Misses.fetch_add(1, std::memory_order_relaxed);
-  // Only the disk layer wants the segmented container bytes; a
-  // memory-only cache records without the pipeline.
+  // The disk layer's entries are written by the segment pipeline, which
+  // compresses behind the recording; a memory-only cache records without
+  // it.
   const uint64_t SegmentBudget = Dir.empty() ? 0 : segmentEventBudget();
   auto Start = std::chrono::steady_clock::now();
   vm::HostTierStats Tier;
-  std::shared_ptr<BlockTrace> Recorded;
   std::unique_ptr<TracePipeline> Pipe;
-  if (SegmentBudget > 0)
+  if (!Dir.empty())
     Pipe = std::make_unique<TracePipeline>(SegmentBudget,
                                            Program.numBlocks());
-  Recorded = std::make_shared<BlockTrace>(BlockTrace::record(
+  auto Recorded = std::make_shared<BlockTrace>(BlockTrace::record(
       Program, MaxBlocks, &Tier,
       Pipe ? BlockTrace::SegmentProgressFn(
                  [&](const BlockTrace &T) { return Pipe->onProgress(T); })
@@ -216,9 +197,8 @@ TraceCache::get(const std::string &Name, const std::string &Input,
                                    std::memory_order_relaxed);
   Recorded->setName(Name + "." + Input);
   if (Pipe) {
-    // Streamed path: the pipeline already compressed every segment behind
-    // the recording; finish() drains the tail and assembles the v3
-    // container — no separate serialize or compress pass remains.
+    // The pipeline already compressed every segment behind the recording;
+    // finish() drains the tail and assembles the v3 container.
     TracePipeline::Result R = Pipe->finish(*Recorded);
     Stats.StreamedRecords.fetch_add(1, std::memory_order_relaxed);
     Stats.SegmentsPiped.fetch_add(R.Segments, std::memory_order_relaxed);
@@ -226,10 +206,6 @@ TraceCache::get(const std::string &Name, const std::string &Input,
     Stats.FlushMicros.fetch_add(R.FlushMicros, std::memory_order_relaxed);
     if (ensureDirectory(Dir))
       writeTextFileAtomic(Path, R.FileBytes);
-  } else if (!Dir.empty()) {
-    storeDisk(Path, *Recorded);
-  }
-  if (!Dir.empty()) {
     removeStaleSidecar(Path);
     enforceBudget();
   }

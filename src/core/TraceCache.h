@@ -11,8 +11,9 @@
 ///  - an in-memory layer of weak references, so concurrent sweeps over the
 ///    same input within one process share a single recording without the
 ///    cache pinning traces past their last user, and
-///  - an on-disk layer of LZ-compressed serialized traces (see
-///    docs/CACHE_FORMAT.md) keyed by the *execution* fingerprint — the
+///  - an on-disk layer of TPDT v3 segmented traces (see
+///    docs/CACHE_FORMAT.md), written by the streamed record pipeline
+///    (core/TracePipeline.h) and keyed by the *execution* fingerprint — the
 ///    workload spec, scale, and event budget; everything that shapes the
 ///    event stream and nothing that doesn't — so policy-only configuration
 ///    changes replay a warm trace instead of re-interpreting.
@@ -25,9 +26,10 @@
 /// reads it, and it is deleted when its entry is hit, rewritten, or
 /// evicted.
 ///
-/// A corrupt, truncated, or stale-format disk entry is counted and treated
-/// as a miss; the trace is then re-recorded and the entry rewritten
-/// atomically (write-then-rename, like the .prof snapshot cache).
+/// A corrupt, truncated, or stale-format disk entry (including every entry
+/// in the retired TPDT v1/v2 layouts) is counted and treated as a miss;
+/// the trace is then re-recorded and the entry rewritten atomically
+/// (write-then-rename, like the .prof snapshot cache).
 ///
 /// The disk layer is size-bounded: when TPDBT_CACHE_MAX_BYTES is set, the
 /// .trace entries are LRU-evicted after every store until they fit the
@@ -97,8 +99,8 @@ public:
     std::atomic<uint64_t> IndexBuilds{0};
     std::atomic<uint64_t> IndexMicros{0};
     /// Misses recorded through the streamed segment pipeline
-    /// (core/TracePipeline.h; disk layer on and TPDBT_SEGMENT_EVENTS
-    /// nonzero) and the segments they handed through the ring.
+    /// (core/TracePipeline.h; every miss of a disk-backed cache) and the
+    /// segments they handed through the ring.
     std::atomic<uint64_t> StreamedRecords{0};
     std::atomic<uint64_t> SegmentsPiped{0};
     /// Consumer wall clock overlapped with recording (segment encode +
@@ -159,9 +161,9 @@ public:
   /// Opens the disk entry for a key as a streaming TPDT v3 container
   /// (core/TraceSegments.h) without parsing events or touching the
   /// in-memory layer — the sampled-replay fast path, which decodes only
-  /// the segments its plan draws. False when the disk layer is off, the
-  /// entry is missing, or it is a monolithic v1/v2 file (callers fall
-  /// back to get()). Success refreshes the entry's LRU recency.
+  /// the segments its plan draws. False when the disk layer is off or the
+  /// entry is missing or fails header validation (callers fall back to
+  /// get()). Success refreshes the entry's LRU recency.
   bool openSegmented(const std::string &Name, const std::string &Input,
                      uint64_t ExecFp, SegmentedTraceReader &Reader,
                      std::string *Error);
@@ -189,7 +191,6 @@ private:
 
   std::shared_ptr<BlockTrace> loadDisk(const std::string &Path,
                                        const guest::Program &Program);
-  void storeDisk(const std::string &Path, const BlockTrace &Trace) const;
   /// Marks a disk entry as recently used (bumps its mtime) so LRU
   /// eviction sees hits, not just writes.
   static void touchEntry(const std::string &Path);

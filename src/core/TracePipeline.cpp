@@ -2,8 +2,6 @@
 
 #include "core/TracePipeline.h"
 
-#include "support/Compression.h"
-
 #include <cassert>
 #include <chrono>
 
@@ -40,18 +38,8 @@ void TracePipeline::consumeLoop() {
   Work W;
   while (Ring.pop(W)) {
     const auto Start = std::chrono::steady_clock::now();
-    TraceSegmentRecord Rec;
-    Rec.Events = static_cast<uint32_t>(W.Events.size());
-    Rec.BaseInsts = RunInsts;
-    Rec.BaseTaken = RunTaken;
-    Rec.Payload =
-        compressBytes(encodeSegmentEvents(W.Events.data(), W.Events.size()));
-    for (const TraceEvent &E : W.Events) {
-      RunInsts += E.Insts;
-      if (E.Branch == 2)
-        ++RunTaken;
-    }
-    Segments.push_back(std::move(Rec));
+    Segments.push_back(makeSegmentRecord(W.Events.data(), W.Events.size(),
+                                         RunInsts, RunTaken));
     WorkMicros += microsSince(Start);
   }
 }

@@ -28,8 +28,8 @@
 ///
 /// One producer, one consumer; a TracePipeline instance serves exactly
 /// one recording. TraceCache::get() wires it to BlockTrace::record()'s
-/// segment callback when the disk layer is on and TPDBT_SEGMENT_EVENTS is
-/// nonzero.
+/// segment callback for every miss of a disk-backed cache: the pipeline
+/// is how the disk layer's entries are written.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -18,10 +18,8 @@ uint64_t tpdbt::core::segmentEventBudget() {
     return DefaultSegmentEvents;
   char *End = nullptr;
   unsigned long long V = std::strtoull(Env, &End, 10);
-  if (End == Env || *End != '\0')
+  if (End == Env || *End != '\0' || V == 0)
     return DefaultSegmentEvents;
-  if (V == 0)
-    return 0; // kill switch: monolithic record path, TPDT v2 on disk
   return std::max<uint64_t>(V, MinSegmentEvents);
 }
 
@@ -47,6 +45,10 @@ bool tpdbt::core::decodeSegmentEvents(const std::string &Raw,
       *Error = Msg;
     return false;
   };
+  // Every event takes at least two payload bytes (two varints), so this
+  // bounds the reservation by the real payload, not the caller's claim.
+  if (ExpectEvents > Raw.size() / 2)
+    return Fail("truncated segment event");
   Out.reserve(Out.size() + ExpectEvents);
   size_t Pos = 0;
   int64_t PrevBlock = 0;
@@ -79,6 +81,23 @@ constexpr char Magic[4] = {'T', 'P', 'D', 'T'};
 constexpr uint8_t SegmentedVersion = 3;
 
 } // namespace
+
+TraceSegmentRecord tpdbt::core::makeSegmentRecord(const TraceEvent *Ev,
+                                                  size_t N,
+                                                  uint64_t &RunInsts,
+                                                  uint64_t &RunTaken) {
+  TraceSegmentRecord Rec;
+  Rec.Events = static_cast<uint32_t>(N);
+  Rec.BaseInsts = RunInsts;
+  Rec.BaseTaken = RunTaken;
+  Rec.Payload = compressBytes(encodeSegmentEvents(Ev, N));
+  for (size_t I = 0; I < N; ++I) {
+    RunInsts += Ev[I].Insts;
+    if (Ev[I].Branch == 2)
+      ++RunTaken;
+  }
+  return Rec;
+}
 
 std::string tpdbt::core::assembleSegmentedTrace(
     size_t NumBlocks, uint64_t NumEvents, uint64_t TotalInsts,
@@ -113,6 +132,16 @@ uint64_t SegmentedTraceHeader::takenEvents() const {
   return Taken;
 }
 
+SegmentedTraceHeader::Span SegmentedTraceHeader::segmentSpan(size_t I) const {
+  assert(I < Directory.size() && "segment index out of range");
+  const Entry &E = Directory[I];
+  const bool Last = I + 1 == Directory.size();
+  Span S;
+  S.Insts = (Last ? TotalInsts : Directory[I + 1].BaseInsts) - E.BaseInsts;
+  S.Taken = (Last ? takenEvents() : Directory[I + 1].BaseTaken) - E.BaseTaken;
+  return S;
+}
+
 bool tpdbt::core::parseSegmentedHeader(const std::string &Bytes,
                                        uint64_t FileSize,
                                        SegmentedTraceHeader &Out,
@@ -125,7 +154,7 @@ bool tpdbt::core::parseSegmentedHeader(const std::string &Bytes,
   if (Bytes.size() < 5 || Bytes.compare(0, 4, Magic, 4) != 0)
     return Fail("bad trace magic");
   if (static_cast<uint8_t>(Bytes[4]) != SegmentedVersion)
-    return Fail("not a segmented trace");
+    return Fail("unsupported trace version");
   size_t Pos = 5;
   SegmentedTraceHeader H;
   uint64_t NumSegments = 0;
@@ -181,6 +210,11 @@ bool tpdbt::core::parseSegmentedHeader(const std::string &Bytes,
     // bounded by the real file size.
     if (Ent.PayloadBytes == 0 || Ent.PayloadBytes > FileSize)
       return Fail("segment payload size implausible");
+    // Each event decodes from >= 2 raw bytes and the raw size is bounded
+    // by the frame size, so the row's event count (which sizes the
+    // decoders' reservations) is bounded by the bytes actually present.
+    if (Events > maxInflatedBytes(Ent.PayloadBytes) / 2)
+      return Fail("segment event count exceeds its payload");
     if (Ent.BaseInsts < RunInsts || Ent.BaseTaken < RunTaken)
       return Fail("segment bases not monotone");
     if (S == 0 && (Ent.BaseInsts != 0 || Ent.BaseTaken != 0))
@@ -251,6 +285,19 @@ bool SegmentedTraceReader::open(const std::string &Path,
   }
 }
 
+bool tpdbt::core::decodeSegment(const SegmentedTraceHeader &H, size_t I,
+                                const std::string &Payload,
+                                std::vector<TraceEvent> &Out,
+                                std::string *Error) {
+  assert(I < H.Directory.size() && "segment index out of range");
+  std::string Raw;
+  if (!decompressBytes(Payload, Raw, Error))
+    return false;
+  Out.clear();
+  return decodeSegmentEvents(Raw, H.Directory[I].Events, H.NumBlocks, Out,
+                             Error);
+}
+
 bool SegmentedTraceReader::readSegment(size_t I, std::vector<TraceEvent> &Out,
                                        std::string *Error) {
   auto Fail = [&](const char *Msg) {
@@ -263,61 +310,18 @@ bool SegmentedTraceReader::readSegment(size_t I, std::vector<TraceEvent> &Out,
   Compressed.resize(Ent.PayloadBytes);
   File.clear();
   File.seekg(static_cast<std::streamoff>(Ent.PayloadOffset));
-  if (Ent.PayloadBytes &&
-      !File.read(Compressed.data(),
+  if (!File.read(Compressed.data(),
                  static_cast<std::streamsize>(Ent.PayloadBytes)))
     return Fail("cannot read segment payload");
-  std::string Raw;
-  if (!decompressBytes(Compressed, Raw, Error))
+  if (!decodeSegment(Header, I, Compressed, Out, Error))
     return false;
-  Out.clear();
-  if (!decodeSegmentEvents(Raw, Ent.Events, Header.NumBlocks, Out, Error))
-    return false;
-  // The segment's own sums must land exactly on the next directory row's
-  // bases (or the trace totals for the last segment) — a purely local
-  // check, so random-access reads stay O(segment).
-  uint64_t SegInsts = 0, SegTaken = 0;
+  SegmentedTraceHeader::Span Got;
   for (const TraceEvent &E : Out) {
-    SegInsts += E.Insts;
-    SegTaken += E.Branch == 2 ? 1 : 0;
+    Got.Insts += E.Insts;
+    Got.Taken += E.Branch == 2 ? 1 : 0;
   }
-  const bool Last = I + 1 == Header.Directory.size();
-  const uint64_t WantInsts =
-      (Last ? Header.TotalInsts : Header.Directory[I + 1].BaseInsts) -
-      Ent.BaseInsts;
-  const uint64_t WantTaken =
-      (Last ? Header.takenEvents() : Header.Directory[I + 1].BaseTaken) -
-      Ent.BaseTaken;
-  if (SegInsts != WantInsts || SegTaken != WantTaken)
+  const SegmentedTraceHeader::Span Want = Header.segmentSpan(I);
+  if (Got.Insts != Want.Insts || Got.Taken != Want.Taken)
     return Fail("segment events disagree with directory bases");
-  return true;
-}
-
-bool tpdbt::core::replaySweepStreamed(SegmentedTraceReader &Reader,
-                                      const Program &P,
-                                      const std::vector<uint64_t> &Thresholds,
-                                      const dbt::DbtOptions &Base,
-                                      SweepResult &Out, std::string *Error) {
-  const SegmentedTraceHeader &H = Reader.header();
-  assert(H.NumBlocks == P.numBlocks() &&
-         "trace does not match the program");
-  std::vector<TraceEvent> Buf;
-  size_t Seg = 0;
-  bool Failed = false;
-  SweepResult R = pumpSweepChunks(
-      P, Thresholds, Base, H.NumEvents, H.TotalInsts, H.takenEvents(),
-      H.Final, [&](const TraceEvent *&Chunk) -> size_t {
-        if (Failed || Seg >= Reader.numSegments())
-          return 0;
-        if (!Reader.readSegment(Seg++, Buf, Error)) {
-          Failed = true;
-          return 0;
-        }
-        Chunk = Buf.data();
-        return Buf.size();
-      });
-  if (Failed)
-    return false;
-  Out = std::move(R);
   return true;
 }

@@ -5,23 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The segmented (TPDT v3) trace container: the event stream cut into
-/// fixed-event-budget segments, each independently delta-varint encoded
-/// and TPDZ-compressed, behind a header that carries the per-block final
-/// counter table and a segment directory (event count, payload size, and
-/// the global instruction/taken prefix-sum bases at each segment start).
+/// The segmented (TPDT v3) trace container, the only on-disk trace form:
+/// the event stream cut into fixed-event-budget segments, each
+/// independently delta-varint encoded and TPDZ-compressed, behind a header
+/// that carries the per-block final counter table and a segment directory
+/// (event count, payload size, and the global instruction/taken prefix-sum
+/// bases at each segment start).
 ///
 /// Segment independence is the point of the format: because every
 /// segment's delta encoding restarts from block 0 and its TPDZ frame is
 /// self-contained, a segment can be compressed the moment the recorder
 /// crosses its boundary (core/TracePipeline.h overlaps that work with
 /// recording) and decompressed without touching any earlier segment
-/// (SegmentedTraceReader streams replay through one segment-sized buffer,
-/// keeping peak memory O(segment) instead of O(trace)).
+/// (SegmentedTraceReader reads one segment at a time, which is what lets
+/// sampled replay skip the segments its plan does not draw).
 ///
-/// The exact byte layout lives in docs/CACHE_FORMAT.md. Monolithic v1/v2
-/// entries remain fully readable; TPDBT_SEGMENT_EVENTS=0 switches the
-/// writer back to v2 (see segmentEventBudget()).
+/// The exact byte layout lives in docs/CACHE_FORMAT.md. Entries in the
+/// older monolithic v1/v2 layouts are not read: the cache counts them as
+/// corrupt misses and overwrites them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,12 +39,6 @@
 namespace tpdbt {
 namespace core {
 
-/// Default per-segment event budget: 64Ki events (~1 MiB of decoded
-/// events, a few hundred KiB compressed) — big enough that per-segment
-/// overheads (TPDZ header, delta restart, directory row) are noise, small
-/// enough that dozens of segments are in flight even at bench scale.
-constexpr uint64_t DefaultSegmentEvents = uint64_t(1) << 16;
-
 /// Floor for the recording pipeline's budget: below this the per-segment
 /// fixed costs (a NumBlocks+1 CSR row per segment, ring handoffs) dwarf
 /// the work. Format readers accept any budget >= 1; only the writer-side
@@ -51,18 +46,18 @@ constexpr uint64_t DefaultSegmentEvents = uint64_t(1) << 16;
 constexpr uint64_t MinSegmentEvents = 256;
 
 /// The TPDBT_SEGMENT_EVENTS knob, read fresh on every call (tests flip
-/// it mid-process): unset or unparsable -> DefaultSegmentEvents, 0 -> 0
-/// (the kill switch: record monolithically, write TPDT v2), otherwise
-/// the value clamped up to MinSegmentEvents.
+/// it mid-process): unset, unparsable or 0 -> DefaultSegmentEvents,
+/// otherwise the value clamped up to MinSegmentEvents.
 uint64_t segmentEventBudget();
 
-/// Delta-varint encodes \p N events (the TPDT v2 per-event encoding,
-/// with the block-id delta chain restarting from 0 at the slice start).
+/// Delta-varint encodes \p N events, with the block-id delta chain
+/// restarting from 0 at the slice start.
 std::string encodeSegmentEvents(const TraceEvent *Ev, size_t N);
 
 /// Decodes one segment's raw (decompressed) payload, appending exactly
 /// \p ExpectEvents events to \p Out. Rejects out-of-range block ids,
-/// corrupt branch bits, truncation, and trailing bytes.
+/// corrupt branch bits, truncation, and trailing bytes; an event count the
+/// payload is too short to hold fails before anything is reserved.
 bool decodeSegmentEvents(const std::string &Raw, uint64_t ExpectEvents,
                          size_t NumBlocks, std::vector<TraceEvent> &Out,
                          std::string *Error);
@@ -78,10 +73,17 @@ struct TraceSegmentRecord {
   std::string Payload;
 };
 
+/// Encodes and compresses the \p N events at \p Ev into the next segment
+/// of a stream. \p RunInsts / \p RunTaken are the stream's running
+/// prefix sums: they become the record's bases and are advanced past the
+/// segment. BlockTrace::serialize and TracePipeline both cut segments
+/// here.
+TraceSegmentRecord makeSegmentRecord(const TraceEvent *Ev, size_t N,
+                                     uint64_t &RunInsts, uint64_t &RunTaken);
+
 /// Assembles the TPDT v3 container from finished segments (in stream
 /// order). The caller supplies the stream totals and the final counter
-/// table; BlockTrace::serializeSegmented and TracePipeline both land
-/// here.
+/// table; BlockTrace::serialize and TracePipeline both land here.
 std::string
 assembleSegmentedTrace(size_t NumBlocks, uint64_t NumEvents,
                        uint64_t TotalInsts, uint64_t Budget,
@@ -96,7 +98,7 @@ struct SegmentedTraceHeader {
   uint64_t NumEvents = 0;
   uint64_t TotalInsts = 0;
   uint64_t SegmentBudget = 0;
-  /// Final per-block use/taken counters (the v2 counter table).
+  /// Final per-block use/taken counters (the counter table).
   std::vector<profile::BlockCounters> Final;
   struct Entry {
     uint32_t Events = 0;
@@ -113,15 +115,36 @@ struct SegmentedTraceHeader {
 
   /// Taken-branch event total, derived from the counter table.
   uint64_t takenEvents() const;
+
+  /// Instructions and taken branches inside segment \p I, as the
+  /// directory claims them: the next row's bases (or the trace totals for
+  /// the last segment) minus this row's.
+  struct Span {
+    uint64_t Insts = 0;
+    uint64_t Taken = 0;
+  };
+  Span segmentSpan(size_t I) const;
 };
 
 /// Parses a v3 header from \p Bytes (a prefix of the file is enough once
 /// it covers the header). \p FileSize anchors the payload-extent check:
 /// the directory's payload sizes must tile [PayloadStart, FileSize)
-/// exactly. Fails on truncated input — callers with a partial prefix
-/// retry with more bytes (see SegmentedTraceReader::open).
+/// exactly, and no row may claim more events than its payload can inflate
+/// to. Fails on truncated input — callers with a partial prefix retry
+/// with more bytes (see SegmentedTraceReader::open).
 bool parseSegmentedHeader(const std::string &Bytes, uint64_t FileSize,
                           SegmentedTraceHeader &Out, std::string *Error);
+
+/// Inflates and decodes segment \p I of the container described by \p H
+/// from its TPDZ frame \p Payload into \p Out (replacing its contents;
+/// capacity is reused), checking the decoded event count and block
+/// range. The one segment decoder: BlockTrace::parse and
+/// SegmentedTraceReader both use it, and each then checks the segment's
+/// sums against H.segmentSpan(I) — a purely local check, so random-access
+/// reads stay O(segment).
+bool decodeSegment(const SegmentedTraceHeader &H, size_t I,
+                   const std::string &Payload, std::vector<TraceEvent> &Out,
+                   std::string *Error);
 
 /// Streams a TPDT v3 file segment-at-a-time: open() reads and validates
 /// only the header; readSegment() seeks to one payload frame, inflates
@@ -137,9 +160,8 @@ public:
   const SegmentedTraceHeader &header() const { return Header; }
   size_t numSegments() const { return Header.Directory.size(); }
 
-  /// Reads segment \p I into \p Out (replacing its contents; capacity is
-  /// reused across calls). Validates the decoded event count, block
-  /// range, and the segment's base prefix sums against the directory.
+  /// Reads segment \p I into \p Out through decodeSegment() and checks
+  /// its sums against the directory.
   bool readSegment(size_t I, std::vector<TraceEvent> &Out,
                    std::string *Error);
 
@@ -148,16 +170,6 @@ private:
   std::ifstream File;
   std::string Compressed; ///< payload scratch, reused across segments
 };
-
-/// Event-pump replay over a streamed trace: byte-identical to
-/// replaySweepEvents() on the parsed trace, but holds one segment at a
-/// time. Handles adaptive policies (no index needed). False when a
-/// segment fails to read mid-replay.
-bool replaySweepStreamed(SegmentedTraceReader &Reader,
-                         const guest::Program &P,
-                         const std::vector<uint64_t> &Thresholds,
-                         const dbt::DbtOptions &Base, SweepResult &Out,
-                         std::string *Error);
 
 } // namespace core
 } // namespace tpdbt

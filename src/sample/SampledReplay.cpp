@@ -74,12 +74,11 @@ size_t DiskSegmentSource::numSegments() const { return Reader.numSegments(); }
 
 SegmentStats DiskSegmentSource::stats(size_t I) const {
   const SegmentedTraceHeader &H = Reader.header();
-  const SegmentedTraceHeader::Entry &E = H.Directory[I];
-  const bool Last = I + 1 == H.Directory.size();
+  const SegmentedTraceHeader::Span Span = H.segmentSpan(I);
   SegmentStats S;
-  S.Events = E.Events;
-  S.Insts = (Last ? H.TotalInsts : H.Directory[I + 1].BaseInsts) - E.BaseInsts;
-  S.Taken = (Last ? TakenTotal : H.Directory[I + 1].BaseTaken) - E.BaseTaken;
+  S.Events = H.Directory[I].Events;
+  S.Insts = Span.Insts;
+  S.Taken = Span.Taken;
   return S;
 }
 
@@ -137,11 +136,7 @@ bool MemorySegmentSource::read(size_t I, SegmentProfile &Out,
   const size_t End =
       std::min<size_t>(Start + Budget, Trace.numEvents());
   // The event vector is contiguous; hand the slice straight down.
-  std::vector<TraceEvent> Slice;
-  Slice.reserve(End - Start);
-  for (size_t K = Start; K < End; ++K)
-    Slice.push_back(Trace.event(K));
-  aggregateEvents(Slice.data(), Slice.size(), Trace.numBlocks(), Out);
+  aggregateEvents(&Trace.event(Start), End - Start, Trace.numBlocks(), Out);
   return true;
 }
 

@@ -131,6 +131,15 @@ std::string tpdbt::compressBytes(const std::string &Raw) {
   return Out;
 }
 
+uint64_t tpdbt::maxInflatedBytes(uint64_t FrameBytes) {
+  // Magic, version and a one-byte raw-size varint precede the stream; the
+  // stream cannot legally expand by more than ~256x per byte.
+  constexpr uint64_t MinHeader = 6;
+  if (FrameBytes < MinHeader)
+    return 0;
+  return (FrameBytes - MinHeader + 1) * 270 + 64;
+}
+
 bool tpdbt::decompressBytes(const std::string &Compressed, std::string &Out,
                             std::string *Error) {
   Out.clear();
@@ -148,9 +157,8 @@ bool tpdbt::decompressBytes(const std::string &Compressed, std::string &Out,
   uint64_t RawSize = 0;
   if (!getVarint(Compressed, Pos, RawSize))
     return Fail("truncated compression header");
-  // Guard against absurd declared sizes before reserving memory: the
-  // stream cannot legally expand by more than ~256x per byte.
-  if (RawSize > (Compressed.size() - Pos + 1) * 270 + 64)
+  // Guard against absurd declared sizes before reserving memory.
+  if (RawSize > maxInflatedBytes(Compressed.size()))
     return Fail("declared raw size implausibly large");
   Out.reserve(RawSize);
 

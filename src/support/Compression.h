@@ -27,6 +27,7 @@
 #ifndef TPDBT_SUPPORT_COMPRESSION_H
 #define TPDBT_SUPPORT_COMPRESSION_H
 
+#include <cstdint>
 #include <string>
 
 namespace tpdbt {
@@ -42,6 +43,12 @@ std::string compressBytes(const std::string &Raw);
 /// or trailing bytes. On failure \p Out is left empty.
 bool decompressBytes(const std::string &Compressed, std::string &Out,
                      std::string *Error);
+
+/// The largest raw size a frame of \p FrameBytes bytes can inflate to:
+/// decompressBytes rejects any frame declaring more before it allocates.
+/// Container readers use it to bound counts sized from a frame's length
+/// (each 255-continuation byte extends a match by at most 255 bytes).
+uint64_t maxInflatedBytes(uint64_t FrameBytes);
 
 } // namespace tpdbt
 

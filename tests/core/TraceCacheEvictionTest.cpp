@@ -179,7 +179,6 @@ TEST(TraceCacheEvictionTest, BudgetCountsOnlyTraceBytes) {
 TEST(TraceCacheEvictionTest, StaleSidecarIsRemovedOnDiskHit) {
   BudgetFixture F;
   ::unsetenv("TPDBT_CACHE_MAX_BYTES");
-  ::unsetenv("TPDBT_SEGMENT_EVENTS"); // openSegmented needs a v3 entry
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.01));
   std::string Entry;

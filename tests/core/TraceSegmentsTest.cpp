@@ -2,6 +2,7 @@
 
 #include "core/TraceSegments.h"
 
+#include "TraceFixtures.h"
 #include "core/TraceCache.h"
 #include "support/Compression.h"
 #include "support/Rng.h"
@@ -64,7 +65,7 @@ TEST(TraceSegmentsTest, BudgetKnobParsesAndClamps) {
   unsetenv("TPDBT_SEGMENT_EVENTS");
   EXPECT_EQ(segmentEventBudget(), DefaultSegmentEvents);
   setenv("TPDBT_SEGMENT_EVENTS", "0", 1);
-  EXPECT_EQ(segmentEventBudget(), 0u); // kill switch
+  EXPECT_EQ(segmentEventBudget(), DefaultSegmentEvents); // no monolithic mode
   setenv("TPDBT_SEGMENT_EVENTS", "1", 1);
   EXPECT_EQ(segmentEventBudget(), MinSegmentEvents); // clamped up
   setenv("TPDBT_SEGMENT_EVENTS", "4096", 1);
@@ -109,13 +110,13 @@ TEST(TraceSegmentsTest, SegmentedRoundTripAtManyBudgets) {
   const uint64_t Budgets[] = {1,     2,     3,     7,    100,
                               1000,  E,     E + 10, 1u << 20};
   for (uint64_t Budget : Budgets) {
-    std::string Bytes = T.serializeSegmented(Budget);
+    std::string Bytes = T.serialize(Budget);
     BlockTrace Q;
     std::string Error;
     ASSERT_TRUE(BlockTrace::parse(Bytes, Q, &Error))
         << "budget " << Budget << ": " << Error;
     expectSameEvents(T, Q, "segmented round trip");
-    // The reparsed trace re-serializes to the canonical v2 bytes: the
+    // The reparsed trace re-serializes to the default-budget bytes: the
     // segmentation is pure container framing, invisible to the events.
     EXPECT_EQ(Q.serialize(), Canonical) << "budget " << Budget;
   }
@@ -129,7 +130,7 @@ TEST(TraceSegmentsTest, SegmentedRoundTripRandomizedBudgets) {
   for (int Trial = 0; Trial < 16; ++Trial) {
     const uint64_t Budget =
         1 + R.nextBelow(T.numEvents() + T.numEvents() / 4);
-    std::string Bytes = T.serializeSegmented(Budget);
+    std::string Bytes = T.serialize(Budget);
     BlockTrace Q;
     std::string Error;
     ASSERT_TRUE(BlockTrace::parse(Bytes, Q, &Error))
@@ -141,7 +142,7 @@ TEST(TraceSegmentsTest, SegmentedRoundTripRandomizedBudgets) {
 TEST(TraceSegmentsTest, EmptyTraceSegmentsRoundTrip) {
   BlockTrace T;
   T.setNumBlocks(4);
-  std::string Bytes = T.serializeSegmented(100);
+  std::string Bytes = T.serialize(100);
   BlockTrace Q;
   std::string Error;
   ASSERT_TRUE(BlockTrace::parse(Bytes, Q, &Error)) << Error;
@@ -152,7 +153,7 @@ TEST(TraceSegmentsTest, EmptyTraceSegmentsRoundTrip) {
 TEST(TraceSegmentsTest, ParseRejectsCorruptContainers) {
   auto B = smallBench("eon");
   BlockTrace T = BlockTrace::record(B.Ref, 1500);
-  std::string Bytes = T.serializeSegmented(128);
+  std::string Bytes = T.serialize(128);
   BlockTrace Q;
 
   // Baseline parses.
@@ -185,7 +186,7 @@ TEST(TraceSegmentsTest, ParseRejectsCorruptContainers) {
 TEST(TraceSegmentsTest, HeaderValidatesDirectoryAndTotals) {
   auto B = smallBench("eon");
   BlockTrace T = BlockTrace::record(B.Ref, 1000);
-  std::string Bytes = T.serializeSegmented(256);
+  std::string Bytes = T.serialize(256);
   SegmentedTraceHeader H;
   std::string Error;
   ASSERT_TRUE(parseSegmentedHeader(Bytes, Bytes.size(), H, &Error)) << Error;
@@ -206,10 +207,10 @@ TEST(TraceSegmentsTest, HeaderValidatesDirectoryAndTotals) {
   EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size() - 1, H2, nullptr));
 }
 
-TEST(TraceSegmentsTest, ParsesVersion1And2Fixtures) {
-  // Hand-built v1 and v2 entries pin byte-level backward compatibility:
-  // 3 events over 2 blocks — block 0 (no branch, 5 insts), block 1
-  // (taken, 3 insts), block 0 (not taken, 2 insts).
+TEST(TraceSegmentsTest, LegacyVersion1And2EntriesAreMisses) {
+  // Hand-built entries in the retired v1 and v2 layouts: 3 events over 2
+  // blocks — block 0 (no branch, 5 insts), block 1 (taken, 3 insts),
+  // block 0 (not taken, 2 insts). v2 added the counter table.
   auto packEvent = [](std::string &Out, int64_t Delta, uint8_t Branch,
                       uint64_t Insts) {
     putVarint(Out, (zigzagEncode(Delta) << 2) | Branch);
@@ -223,20 +224,6 @@ TEST(TraceSegmentsTest, ParsesVersion1And2Fixtures) {
   packEvent(V1, 1, 2, 3);
   packEvent(V1, -1, 1, 2);
 
-  BlockTrace T1;
-  std::string Error;
-  ASSERT_TRUE(BlockTrace::parse(V1, T1, &Error)) << Error;
-  ASSERT_EQ(T1.numEvents(), 3u);
-  EXPECT_EQ(T1.numBlocks(), 2u);
-  EXPECT_EQ(T1.totalInsts(), 10u);
-  EXPECT_EQ(T1.takenEvents(), 1u);
-  EXPECT_EQ(T1.event(0).Block, 0u);
-  EXPECT_EQ(T1.event(1).Block, 1u);
-  EXPECT_EQ(T1.event(1).Branch, 2u);
-  EXPECT_EQ(T1.event(2).Block, 0u);
-  EXPECT_EQ(T1.finalCounts()[0].Use, 2u);
-  EXPECT_EQ(T1.finalCounts()[1].Taken, 1u);
-
   std::string V2("TPDT", 4);
   V2.push_back(2);
   putVarint(V2, 2); // blocks
@@ -249,16 +236,36 @@ TEST(TraceSegmentsTest, ParsesVersion1And2Fixtures) {
   packEvent(V2, 1, 2, 3);
   packEvent(V2, -1, 1, 2);
 
-  BlockTrace T2;
-  ASSERT_TRUE(BlockTrace::parse(V2, T2, &Error)) << Error;
-  expectSameEvents(T1, T2, "v1 vs v2 fixture");
-  // The v2 fixture is the canonical serialization of this trace.
-  EXPECT_EQ(T2.serialize(), V2);
+  BlockTrace T;
+  std::string Error;
+  EXPECT_FALSE(BlockTrace::parse(V1, T, &Error));
+  EXPECT_EQ(Error, "unsupported trace version");
+  EXPECT_FALSE(BlockTrace::parse(V2, T, &Error));
+  EXPECT_EQ(Error, "unsupported trace version");
 
-  // A v2 counter table that disagrees with the events is rejected.
-  std::string BadTable = V2;
-  BadTable[7] = 3; // block 0 use: 2 -> 3 (single-byte varint)
-  EXPECT_FALSE(BlockTrace::parse(BadTable, T2, nullptr));
+  // Older builds stored them as one whole-file TPDZ frame. At a cache
+  // entry path such a file is one corrupt miss: the trace is re-recorded
+  // and the entry is overwritten by a v3 container.
+  const std::string Dir = tempDir("legacy_entries");
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(ensureDirectory(Dir));
+  auto B = smallBench("gzip");
+  const uint64_t MaxBlocks = 2000;
+  const BlockTrace Direct = BlockTrace::record(B.Ref, MaxBlocks);
+  for (const std::string *Legacy : {&V1, &V2}) {
+    TraceCache Cache(Dir);
+    const std::string Path = Cache.entryPath("gzip", "ref", 0x99);
+    ASSERT_TRUE(writeTextFile(Path, compressBytes(*Legacy)));
+    auto Got = Cache.get("gzip", "ref", 0x99, B.Ref, MaxBlocks);
+    ASSERT_NE(Got, nullptr);
+    EXPECT_EQ(Cache.stats().CorruptEntries.load(), 1u);
+    EXPECT_EQ(Cache.stats().Misses.load(), 1u);
+    expectSameEvents(Direct, *Got, "re-recorded legacy entry");
+    auto OnDisk = readTextFile(Path);
+    ASSERT_TRUE(OnDisk.has_value());
+    EXPECT_EQ(*OnDisk, Direct.serialize(segmentEventBudget()));
+  }
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
@@ -286,7 +293,7 @@ TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
     // serialization at the same budget.
     auto OnDisk = readTextFile(Cache.entryPath("mcf", "ref", 0x77));
     ASSERT_TRUE(OnDisk.has_value());
-    EXPECT_EQ(*OnDisk, Direct.serializeSegmented(300));
+    EXPECT_EQ(*OnDisk, Direct.serialize(300));
 
     // Analytic replay over the lazily built index matches the event pump.
     dbt::DbtOptions Opts;
@@ -306,70 +313,7 @@ TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
     EXPECT_EQ(T->sharedIndex(), nullptr);
   }
 
-  // Kill switch: budget 0 records monolithically and writes the classic
-  // whole-file TPDZ framing.
-  setenv("TPDBT_SEGMENT_EVENTS", "0", 1);
-  {
-    TraceCache Cache(Dir);
-    auto T = Cache.get("mcf", "ref", 0x78, B.Ref, MaxBlocks);
-    ASSERT_NE(T, nullptr);
-    EXPECT_EQ(Cache.stats().StreamedRecords.load(), 0u);
-    expectSameEvents(Direct, *T, "kill switch record");
-    auto OnDisk = readTextFile(Cache.entryPath("mcf", "ref", 0x78));
-    ASSERT_TRUE(OnDisk.has_value());
-    ASSERT_GE(OnDisk->size(), 4u);
-    EXPECT_EQ(OnDisk->substr(0, 4), "TPDZ");
-  }
-  // And the segmented reader reads the v2 entry's sibling back: a
-  // segmented cache can still consume entries written by the kill
-  // switch via the monolithic loader (framing sniff).
-  setenv("TPDBT_SEGMENT_EVENTS", "300", 1);
-  {
-    TraceCache Cache(Dir);
-    auto T = Cache.get("mcf", "ref", 0x78, B.Ref, MaxBlocks);
-    ASSERT_NE(T, nullptr);
-    EXPECT_EQ(Cache.stats().DiskHits.load(), 1u);
-    EXPECT_EQ(Cache.stats().Misses.load(), 0u);
-    expectSameEvents(Direct, *T, "cross-framing disk hit");
-  }
   unsetenv("TPDBT_SEGMENT_EVENTS");
-  std::filesystem::remove_all(Dir);
-}
-
-TEST(TraceSegmentsTest, StreamedReplayMatchesEventPump) {
-  const std::string Dir = tempDir("streamed_replay");
-  std::filesystem::remove_all(Dir);
-  ASSERT_TRUE(ensureDirectory(Dir));
-  auto B = smallBench("gzip");
-  BlockTrace T = BlockTrace::record(B.Ref, 15000);
-  const std::string Path = Dir + "/t.trace";
-  ASSERT_TRUE(writeTextFileAtomic(Path, T.serializeSegmented(512)));
-
-  SegmentedTraceReader Reader;
-  std::string Error;
-  ASSERT_TRUE(SegmentedTraceReader::open(Path, Reader, &Error)) << Error;
-  EXPECT_GT(Reader.numSegments(), 1u);
-
-  const std::vector<uint64_t> Thresholds = {1, 100, 1000, 100000};
-  dbt::DbtOptions Plain;
-  SweepResult Streamed;
-  ASSERT_TRUE(replaySweepStreamed(Reader, B.Ref, Thresholds, Plain,
-                                  Streamed, &Error))
-      << Error;
-  expectSameSweep(Streamed, replaySweepEvents(T, B.Ref, Thresholds, Plain),
-                  Thresholds.size(), "streamed pump");
-
-  // Adaptive policies exercise the full chunked pump (no analytic
-  // shortcut exists for them).
-  dbt::DbtOptions Adaptive;
-  Adaptive.Adaptive.Enabled = true;
-  SweepResult StreamedAd;
-  ASSERT_TRUE(replaySweepStreamed(Reader, B.Ref, Thresholds, Adaptive,
-                                  StreamedAd, &Error))
-      << Error;
-  expectSameSweep(StreamedAd,
-                  replaySweepEvents(T, B.Ref, Thresholds, Adaptive),
-                  Thresholds.size(), "streamed adaptive pump");
   std::filesystem::remove_all(Dir);
 }
 
@@ -379,7 +323,7 @@ TEST(TraceSegmentsTest, ReaderRejectsTruncatedAndForeignFiles) {
   ASSERT_TRUE(ensureDirectory(Dir));
   auto B = smallBench("eon");
   BlockTrace T = BlockTrace::record(B.Ref, 2000);
-  std::string Bytes = T.serializeSegmented(256);
+  std::string Bytes = T.serialize(256);
 
   SegmentedTraceReader R;
   std::string Error;
@@ -419,109 +363,54 @@ TEST(TraceSegmentsTest, HeaderRejectsHostileDirectoryEntries) {
   // Hand-built v3 containers exercising the parser's per-entry bounds:
   // none of these may size an allocation from the attacker's field, and
   // all must fail cleanly rather than truncate through a uint32 cast.
-  auto header = [](uint64_t Blocks, uint64_t Events, uint64_t Insts,
-                   uint64_t Budget, uint64_t Segments) {
-    std::string Out("TPDT", 4);
-    Out.push_back(3); // segmented version
-    putVarint(Out, Blocks);
-    putVarint(Out, Events);
-    putVarint(Out, Insts);
-    putVarint(Out, Budget);
-    putVarint(Out, Segments);
-    return Out;
-  };
-  SegmentedTraceHeader H;
+  for (const testfixtures::HostileHeader &F : testfixtures::hostileHeaders()) {
+    SegmentedTraceHeader H;
+    std::string Error;
+    EXPECT_FALSE(parseSegmentedHeader(F.Bytes, F.Bytes.size() + F.FileSlack,
+                                      H, &Error))
+        << F.What;
+    if (F.ErrorPart) {
+      EXPECT_NE(Error.find(F.ErrorPart), std::string::npos)
+          << F.What << ": " << Error;
+    }
+  }
+}
 
-  // Segment count far beyond what the file could hold: rejected before
-  // the directory vector is sized.
-  {
-    std::string Bytes = header(1, 4, 10, 256, uint64_t(1) << 40);
-    EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size(), H, nullptr));
-  }
-  // Block count beyond the file size.
-  {
-    std::string Bytes = header(uint64_t(1) << 40, 4, 10, 256, 1);
-    EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size(), H, nullptr));
-  }
-  // Zero segment budget.
-  {
-    std::string Bytes = header(1, 4, 10, 0, 1);
-    EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size(), H, nullptr));
-  }
-  // A counter-table entry claiming more uses than the trace has events
-  // (would previously rely on the final sum check, which a second huge
-  // entry could wrap past).
-  {
-    std::string Bytes = header(2, 4, 10, 256, 1);
-    putVarint(Bytes, 5); // block 0: Use > NumEvents
-    putVarint(Bytes, 0);
-    putVarint(Bytes, 0);
-    putVarint(Bytes, 0);
-    std::string Error;
-    EXPECT_FALSE(
-        parseSegmentedHeader(Bytes, Bytes.size() + 64, H, &Error));
-    EXPECT_NE(Error.find("counter table"), std::string::npos);
-  }
-  // Taken > Use within one entry.
-  {
-    std::string Bytes = header(1, 4, 10, 256, 1);
-    putVarint(Bytes, 4);
-    putVarint(Bytes, 5);
-    EXPECT_FALSE(
-        parseSegmentedHeader(Bytes, Bytes.size() + 64, H, nullptr));
-  }
-  auto counters = [](std::string &Out, uint64_t Use, uint64_t Taken) {
-    putVarint(Out, Use);
-    putVarint(Out, Taken);
-  };
-  // A zero-length directory entry.
-  {
-    std::string Bytes = header(1, 4, 10, 256, 1);
-    counters(Bytes, 4, 0);
-    putVarint(Bytes, 0); // Events = 0
-    putVarint(Bytes, 8); // PayloadBytes
-    putVarint(Bytes, 0);
-    putVarint(Bytes, 0);
-    std::string Error;
-    EXPECT_FALSE(
-        parseSegmentedHeader(Bytes, Bytes.size() + 8, H, &Error));
-    EXPECT_NE(Error.find("outside budget"), std::string::npos);
-  }
-  // An entry whose event count overflows its segment budget (and would
-  // otherwise be narrowed to uint32).
-  {
-    std::string Bytes = header(1, 4, 10, 256, 1);
-    counters(Bytes, 4, 0);
-    putVarint(Bytes, (uint64_t(1) << 32) + 4); // Events >> budget
-    putVarint(Bytes, 8);
-    putVarint(Bytes, 0);
-    putVarint(Bytes, 0);
-    EXPECT_FALSE(
-        parseSegmentedHeader(Bytes, Bytes.size() + 8, H, nullptr));
-  }
-  // A zero-byte payload (segments always hold >= 1 event, so their
-  // compressed payload can never be empty).
-  {
-    std::string Bytes = header(1, 4, 10, 256, 1);
-    counters(Bytes, 4, 0);
-    putVarint(Bytes, 4);
-    putVarint(Bytes, 0); // PayloadBytes = 0
-    putVarint(Bytes, 0);
-    putVarint(Bytes, 0);
-    std::string Error;
-    EXPECT_FALSE(
-        parseSegmentedHeader(Bytes, Bytes.size() + 8, H, &Error));
-    EXPECT_NE(Error.find("payload size"), std::string::npos);
-  }
-  // A payload claiming more bytes than the whole file.
-  {
-    std::string Bytes = header(1, 4, 10, 256, 1);
-    counters(Bytes, 4, 0);
-    putVarint(Bytes, 4);
-    putVarint(Bytes, uint64_t(1) << 40);
-    putVarint(Bytes, 0);
-    putVarint(Bytes, 0);
-    EXPECT_FALSE(
-        parseSegmentedHeader(Bytes, Bytes.size() + 8, H, nullptr));
-  }
+TEST(TraceSegmentsTest, HeaderRejectsEventCountBeyondPayload) {
+  // Each event decodes from >= 2 raw bytes, so a row's event count is
+  // bounded by what its payload frame can inflate to.
+  const std::string Bytes = testfixtures::oversizedEventClaim();
+  SegmentedTraceHeader H;
+  std::string Error;
+  EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size(), H, &Error));
+  EXPECT_NE(Error.find("exceeds its payload"), std::string::npos) << Error;
+  BlockTrace T;
+  EXPECT_FALSE(BlockTrace::parse(Bytes, T, &Error));
+}
+
+TEST(TraceSegmentsTest, CacheCountsOversizedEventClaimAsMiss) {
+  const std::string Dir = tempDir("oversized_claim");
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(ensureDirectory(Dir));
+  auto B = smallBench("gzip");
+  const uint64_t MaxBlocks = 2000;
+  TraceCache Cache(Dir);
+  const std::string Path = Cache.entryPath("gzip", "ref", 0x45);
+  ASSERT_TRUE(writeTextFile(Path, testfixtures::oversizedEventClaim()));
+
+  // Neither the sampler's streaming open nor the whole-trace load may
+  // size anything from the claim: the open fails, the load is one
+  // corrupt miss that re-records and overwrites the entry.
+  SegmentedTraceReader Reader;
+  EXPECT_FALSE(Cache.openSegmented("gzip", "ref", 0x45, Reader, nullptr));
+  std::shared_ptr<const BlockTrace> Got;
+  EXPECT_NO_THROW(Got = Cache.get("gzip", "ref", 0x45, B.Ref, MaxBlocks));
+  ASSERT_NE(Got, nullptr);
+  EXPECT_EQ(Cache.stats().CorruptEntries.load(), 1u);
+  EXPECT_EQ(Cache.stats().Misses.load(), 1u);
+  const BlockTrace Direct = BlockTrace::record(B.Ref, MaxBlocks);
+  expectSameEvents(Direct, *Got, "re-recorded entry");
+  ASSERT_TRUE(SegmentedTraceReader::open(Path, Reader, nullptr));
+  EXPECT_EQ(Reader.header().NumEvents, Direct.numEvents());
+  std::filesystem::remove_all(Dir);
 }

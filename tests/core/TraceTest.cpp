@@ -3,6 +3,7 @@
 #include "core/Trace.h"
 
 #include "support/Rng.h"
+#include "support/Varint.h"
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
 
@@ -209,74 +210,40 @@ TEST(TraceTest, DuplicateThresholdsShareOneEvaluation) {
               profile::printSnapshot(Single.PerThreshold[0]));
 }
 
-namespace {
-
-/// Minimal TPDT v1 encoder (the pre-counter-table format), used to pin
-/// backward compatibility.
-std::string encodeV1(const BlockTrace &T) {
-  std::string Out("TPDT", 4);
-  Out.push_back(1);
-  auto PutVarint = [&Out](uint64_t V) {
-    while (V >= 0x80) {
-      Out.push_back(static_cast<char>(0x80 | (V & 0x7f)));
-      V >>= 7;
-    }
-    Out.push_back(static_cast<char>(V));
-  };
-  PutVarint(T.numBlocks());
-  PutVarint(T.numEvents());
-  int64_t PrevBlock = 0;
-  for (size_t I = 0; I < T.numEvents(); ++I) {
-    const TraceEvent &E = T.event(I);
-    int64_t Delta = static_cast<int64_t>(E.Block) - PrevBlock;
-    PrevBlock = static_cast<int64_t>(E.Block);
-    uint64_t Zig = (static_cast<uint64_t>(Delta) << 1) ^
-                   static_cast<uint64_t>(Delta >> 63);
-    PutVarint((Zig << 2) | E.Branch);
-    PutVarint(E.Insts);
-  }
-  return Out;
-}
-
-} // namespace
-
-TEST(TraceTest, ParseAcceptsVersion1Traces) {
-  auto B = smallBench("eon");
-  BlockTrace T = BlockTrace::record(B.Ref, 2000);
-  BlockTrace Q;
-  std::string Error;
-  ASSERT_TRUE(BlockTrace::parse(encodeV1(T), Q, &Error)) << Error;
-  ASSERT_EQ(Q.numEvents(), T.numEvents());
-  EXPECT_EQ(Q.numBlocks(), T.numBlocks());
-  EXPECT_EQ(Q.totalInsts(), T.totalInsts());
-  EXPECT_EQ(Q.takenEvents(), T.takenEvents());
-  // The counter table is reconstructed from the events, so a v1 parse
-  // re-serializes as a full v2 entry.
-  ASSERT_EQ(Q.finalCounts().size(), T.finalCounts().size());
-  for (size_t I = 0; I < T.finalCounts().size(); ++I) {
-    EXPECT_EQ(Q.finalCounts()[I].Use, T.finalCounts()[I].Use);
-    EXPECT_EQ(Q.finalCounts()[I].Taken, T.finalCounts()[I].Taken);
-  }
-  EXPECT_EQ(Q.serialize(), T.serialize());
-}
-
 TEST(TraceTest, ParseRejectsCounterTableMismatch) {
   auto B = smallBench("eon");
   BlockTrace T = BlockTrace::record(B.Ref, 500);
   std::string Bytes = T.serialize();
-  // The counter table starts right after the two header varints; nudging
-  // its first byte desynchronizes the declared totals from the events.
+  // The counter table follows the five header varints (blocks, events,
+  // insts, budget, segments). Moving one use from one block to another
+  // keeps every header-level sum intact, so only the decoded events can
+  // expose the lie.
   size_t Pos = 5;
-  while (static_cast<uint8_t>(Bytes[Pos]) & 0x80)
-    ++Pos;
-  ++Pos; // skip NumBlocks
-  while (static_cast<uint8_t>(Bytes[Pos]) & 0x80)
-    ++Pos;
-  ++Pos; // skip NumEvents
-  ASSERT_EQ(static_cast<uint8_t>(Bytes[Pos]) & 0x80, 0)
-      << "test assumes a single-byte first Use varint";
-  Bytes[Pos] = static_cast<char>((static_cast<uint8_t>(Bytes[Pos]) + 1) &
-                                 0x7f);
+  uint64_t V = 0;
+  for (int I = 0; I < 5; ++I)
+    ASSERT_TRUE(getVarint(Bytes, Pos, V));
+  struct Row {
+    size_t At;
+    uint64_t Use, Taken;
+  };
+  std::vector<Row> Rows;
+  for (size_t Blk = 0; Blk < T.numBlocks(); ++Blk) {
+    Row R{Pos, 0, 0};
+    ASSERT_TRUE(getVarint(Bytes, Pos, R.Use));
+    ASSERT_TRUE(getVarint(Bytes, Pos, R.Taken));
+    Rows.push_back(R);
+  }
+  // Single-byte Use varints on both sides keep every offset in place.
+  const Row *Up = nullptr, *Down = nullptr;
+  for (const Row &R : Rows) {
+    if (!Up && R.Use + 1 < 0x80)
+      Up = &R;
+    else if (!Down && R.Use < 0x80 && R.Use > R.Taken)
+      Down = &R;
+  }
+  ASSERT_TRUE(Up && Down) << "test needs two blocks with small counters";
+  Bytes[Up->At] = static_cast<char>(Up->Use + 1);
+  Bytes[Down->At] = static_cast<char>(Down->Use - 1);
   BlockTrace Q;
   std::string Error;
   EXPECT_FALSE(BlockTrace::parse(Bytes, Q, &Error));

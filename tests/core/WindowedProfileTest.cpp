@@ -173,7 +173,7 @@ TEST(WindowedProfileTest, WindowsUnaffectedBySegmentBoundaries) {
     BlockTrace Reparsed;
     std::string Err;
     ASSERT_TRUE(
-        BlockTrace::parse(Trace.serializeSegmented(Budget), Reparsed, &Err))
+        BlockTrace::parse(Trace.serialize(Budget), Reparsed, &Err))
         << Err;
     WindowedProfile WP = collectWindowedProfile(P, 5, Reparsed);
     ASSERT_EQ(WP.TotalBlockEvents, Direct.TotalBlockEvents) << Budget;

@@ -171,7 +171,7 @@ TEST(SampledReplayTest, DiskAndMemorySourcesAgree) {
                                .string();
   {
     std::ofstream Out(Path, std::ios::binary);
-    const std::string Bytes = T.serializeSegmented(Budget);
+    const std::string Bytes = T.serialize(Budget);
     Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
   }
   core::SegmentedTraceReader Reader;
