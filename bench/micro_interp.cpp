@@ -229,7 +229,7 @@ void BM_BuildTraceIndex(benchmark::State &State) {
   for (auto _ : State) {
     core::TraceIndex Idx = core::TraceIndex::build(T);
     Events += Idx.numEvents();
-    benchmark::DoNotOptimize(Idx.totalInsts());
+    benchmark::DoNotOptimize(Idx);
   }
   State.SetItemsProcessed(static_cast<int64_t>(Events));
 }

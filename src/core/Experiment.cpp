@@ -471,7 +471,7 @@ std::string ExperimentContext::statsSummary() const {
       "host %llu chained / %llu folded (%llu closed) / %llu fallback, "
       "jit %llu units / %llu blk / %llu iter / %llu deopt / %llu flush "
       "(%.2fs compile), "
-      "stream %llu rec / %llu seg (%.1fs work, %.1fs flush), "
+      "stream %llu seg (%.1fs work, %.1fs flush), "
       "evict %llu (%.1f MB)",
       Config.effectiveJobs(),
       static_cast<unsigned long long>(
@@ -521,8 +521,6 @@ std::string ExperimentContext::statsSummary() const {
       static_cast<double>(
           TC.JitCompileMicros.load(std::memory_order_relaxed)) /
           1e6,
-      static_cast<unsigned long long>(
-          TC.StreamedRecords.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           TC.SegmentsPiped.load(std::memory_order_relaxed)),
       static_cast<double>(

@@ -17,55 +17,15 @@ using namespace tpdbt;
 using namespace tpdbt::core;
 using namespace tpdbt::guest;
 
-BlockTrace::BlockTrace(const BlockTrace &Other)
-    : Events(Other.Events), Final(Other.Final), NumBlocks(Other.NumBlocks),
-      TotalInsts(Other.TotalInsts), TakenEvents(Other.TakenEvents),
-      Name(Other.Name), Index(Other.sharedIndex()) {}
-
-BlockTrace::BlockTrace(BlockTrace &&Other) noexcept
-    : Events(std::move(Other.Events)), Final(std::move(Other.Final)),
-      NumBlocks(Other.NumBlocks), TotalInsts(Other.TotalInsts),
-      TakenEvents(Other.TakenEvents), Name(std::move(Other.Name)),
-      Index(Other.sharedIndex()) {}
-
-BlockTrace &BlockTrace::operator=(const BlockTrace &Other) {
-  if (this == &Other)
-    return *this;
-  Events = Other.Events;
-  Final = Other.Final;
-  NumBlocks = Other.NumBlocks;
-  TotalInsts = Other.TotalInsts;
-  TakenEvents = Other.TakenEvents;
-  Name = Other.Name;
-  std::lock_guard<std::mutex> Guard(IndexLock);
-  Index = Other.sharedIndex();
-  return *this;
-}
-
-BlockTrace &BlockTrace::operator=(BlockTrace &&Other) noexcept {
-  if (this == &Other)
-    return *this;
-  Events = std::move(Other.Events);
-  Final = std::move(Other.Final);
-  NumBlocks = Other.NumBlocks;
-  TotalInsts = Other.TotalInsts;
-  TakenEvents = Other.TakenEvents;
-  Name = std::move(Other.Name);
-  std::lock_guard<std::mutex> Guard(IndexLock);
-  Index = Other.sharedIndex();
-  return *this;
-}
-
 const TraceIndex &BlockTrace::index() const {
-  std::lock_guard<std::mutex> Guard(IndexLock);
-  if (!Index)
-    Index = std::make_shared<TraceIndex>(TraceIndex::build(*this));
-  return *Index;
+  std::lock_guard<std::mutex> Guard(Index.Lock);
+  if (!Index.Ptr)
+    Index.Ptr = std::make_shared<TraceIndex>(TraceIndex::build(*this));
+  return *Index.Ptr;
 }
 
 std::shared_ptr<const TraceIndex> BlockTrace::sharedIndex() const {
-  std::lock_guard<std::mutex> Guard(IndexLock);
-  return Index;
+  return Index.get();
 }
 
 namespace {
@@ -198,6 +158,8 @@ bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
     if (T.finalCounts()[B].Use != H.Final[B].Use ||
         T.finalCounts()[B].Taken != H.Final[B].Taken)
       return Fail("trace counter table disagrees with events");
+  if (!T.regular())
+    return Fail("a non-final event's insts differ from its block's count");
   Out = std::move(T);
   return true;
 }
@@ -365,11 +327,16 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
       if (M == 0)
         return I;
       // Each path block consumes one occurrence per folded iteration
-      // (duplicated unconditional blocks appear once per duplicate).
-      for (BlockId B : PathBlocks)
+      // (duplicated unconditional blocks appear once per duplicate); the
+      // iterations' instructions are the occurrences' per-block counts,
+      // read before each cursor advance.
+      uint64_t Insts = 0;
+      for (BlockId B : PathBlocks) {
+        Insts += Idx.instsOfFirst(B, Cursor[B] + M) -
+                 Idx.instsOfFirst(B, Cursor[B]);
         Cursor[B] += M;
-      Policy.analyticLoopIterations(
-          M, Idx.instsBefore(I + M * Len) - Idx.instsBefore(I));
+      }
+      Policy.analyticLoopIterations(M, Insts);
       return I + M * Len;
     }
     return I; // no back edge within the node budget

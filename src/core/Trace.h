@@ -10,9 +10,9 @@
 ///
 /// This is the standard decoupling in DBT/profiling research: collect the
 /// trace once (expensive), then study arbitrarily many translator
-/// configurations against it (cheap). replaySweep() is the trace-driven
-/// twin of core::runSweep and produces byte-identical snapshots — a
-/// property test asserts that.
+/// configurations against it (cheap). replaySweep() produces snapshots
+/// byte-identical to a dedicated DbtEngine run per threshold — a property
+/// test asserts that.
 ///
 /// Serialized traces use the segmented TPDT v3 container
 /// (core/TraceSegments.h, docs/CACHE_FORMAT.md): the final per-block
@@ -63,12 +63,6 @@ struct TraceEvent {
 /// A recorded execution.
 class BlockTrace {
 public:
-  BlockTrace() = default;
-  BlockTrace(const BlockTrace &Other);
-  BlockTrace(BlockTrace &&Other) noexcept;
-  BlockTrace &operator=(const BlockTrace &Other);
-  BlockTrace &operator=(BlockTrace &&Other) noexcept;
-
   /// Segment-boundary callback for record(): invoked with the trace so
   /// far whenever the event count reaches the current boundary; returns
   /// the next boundary to watch for (core/TracePipeline.h hands finished
@@ -115,6 +109,20 @@ public:
     return Final;
   }
 
+  /// Guest instructions one execution of \p B retires, taken from its
+  /// first occurrence (0 for a block that never ran). The count is fixed
+  /// by the block's code; only a MemFault cuts an execution short, and
+  /// it ends the run, so the final event is the one event that may
+  /// differ (see regular()).
+  uint32_t blockInsts(guest::BlockId B) const { return BlockInsts[B]; }
+
+  /// True when every event but the final one retires its block's
+  /// blockInsts(). record() produces regular traces by construction,
+  /// parse() rejects irregular ones and TraceIndex::build refuses them:
+  /// the index derives per-occurrence instruction counts from the
+  /// per-block table.
+  bool regular() const { return !Irregular; }
+
   /// The analytic replay index over this trace, built with
   /// TraceIndex::build on first use and cached for the trace's lifetime
   /// (never persisted). Thread-safe.
@@ -130,10 +138,9 @@ public:
 
   /// Appends one event (used by record() and tests).
   void append(const TraceEvent &E) {
+    noteBlock(E, 1);
     Events.push_back(E);
     TotalInsts += E.Insts;
-    if (Final.size() <= E.Block)
-      Final.resize(E.Block + 1);
     ++Final[E.Block].Use;
     if (E.Branch == 2) {
       ++TakenEvents;
@@ -147,6 +154,7 @@ public:
   void appendRun(const TraceEvent &E, uint64_t N) {
     if (N == 0)
       return;
+    noteBlock(E, N);
     // Explicit doubling + push_back loop: vector's fill-insert path
     // (insert(end, N, E) / resize(n, E)) measures ~2x slower here than
     // the inlined push_back fast path it bypasses.
@@ -156,8 +164,6 @@ public:
     for (uint64_t I = 0; I < N; ++I)
       Events.push_back(E);
     TotalInsts += static_cast<uint64_t>(E.Insts) * N;
-    if (Final.size() <= E.Block)
-      Final.resize(E.Block + 1);
     Final[E.Block].Use += N;
     if (E.Branch == 2) {
       TakenEvents += N;
@@ -173,26 +179,66 @@ public:
   void reserveEvents(size_t N) { Events.reserve(N); }
   void setNumBlocks(size_t N) {
     NumBlocks = N;
-    if (Final.size() < N)
+    if (Final.size() < N) {
       Final.resize(N);
+      BlockInsts.resize(N);
+    }
   }
 
 private:
+  /// Per-block bookkeeping ahead of appending \p N copies of \p E:
+  /// sizes the per-block tables, takes the block's instruction count from
+  /// its first occurrence, and tracks regularity. A deviating event is
+  /// only harmless while it stays the final one.
+  void noteBlock(const TraceEvent &E, uint64_t N) {
+    if (Final.size() <= E.Block) {
+      Final.resize(E.Block + 1);
+      BlockInsts.resize(E.Block + 1);
+    }
+    if (Final[E.Block].Use == 0)
+      BlockInsts[E.Block] = E.Insts;
+    const bool Deviates = E.Insts != BlockInsts[E.Block];
+    Irregular |= LastDeviates || (Deviates && N > 1);
+    LastDeviates = Deviates;
+  }
+
   std::vector<TraceEvent> Events;
   std::vector<profile::BlockCounters> Final;
+  std::vector<uint32_t> BlockInsts;
   size_t NumBlocks = 0;
   uint64_t TotalInsts = 0;
   uint64_t TakenEvents = 0;
+  /// Regularity state (see regular() and noteBlock()).
+  bool LastDeviates = false;
+  bool Irregular = false;
   std::string Name;
   /// Lazily-built index (see index()). Mutable: the index is a cache of a
-  /// pure function of the trace, not logical state.
-  mutable std::mutex IndexLock;
-  mutable std::shared_ptr<const TraceIndex> Index;
+  /// pure function of the trace, not logical state. Copies and moves of
+  /// the trace share the built index; each trace has its own lock.
+  struct IndexSlot {
+    IndexSlot() = default;
+    IndexSlot(const IndexSlot &Other) : Ptr(Other.get()) {}
+    IndexSlot(IndexSlot &&Other) noexcept : Ptr(Other.get()) {}
+    IndexSlot &operator=(const IndexSlot &Other) {
+      std::shared_ptr<const TraceIndex> P = Other.get();
+      std::lock_guard<std::mutex> Guard(Lock);
+      Ptr = std::move(P);
+      return *this;
+    }
+    IndexSlot &operator=(IndexSlot &&Other) noexcept { return *this = Other; }
+    std::shared_ptr<const TraceIndex> get() const {
+      std::lock_guard<std::mutex> Guard(Lock);
+      return Ptr;
+    }
+    mutable std::mutex Lock;
+    std::shared_ptr<const TraceIndex> Ptr;
+  };
+  mutable IndexSlot Index;
 };
 
-/// Trace-driven twin of runSweep(): derives the snapshot for one policy
-/// per threshold (plus the profiling-only policy), byte-identical to a
-/// live sweep of the same execution.
+/// Derives the snapshot for one policy per threshold (plus the
+/// profiling-only policy) from a recorded trace, byte-identical to a live
+/// DbtEngine run of the same execution per threshold.
 ///
 /// Non-adaptive policies are evaluated *analytically* from the trace's
 /// TraceIndex: the freeze timeline is reconstructed from per-block

@@ -200,7 +200,6 @@ TraceCache::get(const std::string &Name, const std::string &Input,
     // The pipeline already compressed every segment behind the recording;
     // finish() drains the tail and assembles the v3 container.
     TracePipeline::Result R = Pipe->finish(*Recorded);
-    Stats.StreamedRecords.fetch_add(1, std::memory_order_relaxed);
     Stats.SegmentsPiped.fetch_add(R.Segments, std::memory_order_relaxed);
     Stats.PipelineMicros.fetch_add(R.WorkMicros, std::memory_order_relaxed);
     Stats.FlushMicros.fetch_add(R.FlushMicros, std::memory_order_relaxed);

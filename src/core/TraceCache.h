@@ -98,10 +98,9 @@ public:
     /// wall clock is accumulated in IndexMicros.
     std::atomic<uint64_t> IndexBuilds{0};
     std::atomic<uint64_t> IndexMicros{0};
-    /// Misses recorded through the streamed segment pipeline
-    /// (core/TracePipeline.h; every miss of a disk-backed cache) and the
-    /// segments they handed through the ring.
-    std::atomic<uint64_t> StreamedRecords{0};
+    /// Segments the streamed pipeline (core/TracePipeline.h) handed
+    /// through its ring; every miss of a disk-backed cache records
+    /// through it.
     std::atomic<uint64_t> SegmentsPiped{0};
     /// Consumer wall clock overlapped with recording (segment encode +
     /// compress), vs. the non-overlapped tail: drain and container

@@ -28,49 +28,44 @@ TraceIndex TraceIndex::build(const BlockTrace &Trace) {
   const size_t N = Trace.numBlocks();
   const size_t E = Trace.numEvents();
   checkPositionLimit(E, Trace.name());
+  if (!Trace.regular())
+    throw std::invalid_argument(formatString(
+        "trace %s is irregular: a non-final event's insts differ from its "
+        "block's count, so the replay index cannot derive them",
+        Trace.name().empty() ? "(unnamed)" : Trace.name().c_str()));
 
   TraceIndex Idx;
-  Idx.TotalInsts = Trace.totalInsts();
-  Idx.TakenEvents = Trace.takenEvents();
-
-  // Pass 1 equivalent: the trace already maintains final per-block use
-  // counts, which are exactly the CSR row sizes.
+  // The trace already maintains final per-block use counts, which are
+  // exactly the CSR row sizes.
   const std::vector<profile::BlockCounters> &Final = Trace.finalCounts();
   Idx.BlockBegin.resize(N + 1);
+  Idx.BlockInsts.resize(N);
   uint32_t Offset = 0;
   for (size_t B = 0; B < N; ++B) {
     Idx.BlockBegin[B] = Offset;
     Offset += static_cast<uint32_t>(Final[B].Use);
+    Idx.BlockInsts[B] = Trace.blockInsts(static_cast<BlockId>(B));
   }
   Idx.BlockBegin[N] = Offset;
   assert(Offset == E && "final counts disagree with the event stream");
+  if (E) {
+    Idx.FinalBlock = Trace.event(E - 1).Block;
+    Idx.FinalInsts = Trace.event(E - 1).Insts;
+  }
 
+  // One pass: scatter positions and accumulate taken rows. Cursor[B] is
+  // the next free OccPos slot of block B; the rows carry a leading zero
+  // (resize zero-fills them).
   Idx.OccPos.resize(E);
   Idx.TakenPre.resize(E + N);
-  Idx.InstsPre.resize(E + N);
-  Idx.GlobalInsts.resize(E + 1);
-  Idx.GlobalTaken.resize(E + 1);
-
-  // Pass 2: scatter positions and accumulate prefix rows. Cursor[B] is the
-  // next free OccPos slot of block B; the prefix rows carry a leading zero.
   std::vector<uint32_t> Cursor(Idx.BlockBegin.begin(),
                                Idx.BlockBegin.end() - 1);
-  for (size_t B = 0; B < N; ++B) {
-    Idx.TakenPre[Idx.prefBegin(static_cast<BlockId>(B))] = 0;
-    Idx.InstsPre[Idx.prefBegin(static_cast<BlockId>(B))] = 0;
-  }
-  Idx.GlobalInsts[0] = 0;
-  Idx.GlobalTaken[0] = 0;
   for (size_t I = 0; I < E; ++I) {
     const TraceEvent &Ev = Trace.event(I);
-    const bool Taken = Ev.Branch == 2;
     uint32_t Slot = Cursor[Ev.Block]++;
     Idx.OccPos[Slot] = static_cast<uint32_t>(I);
     size_t Row = Slot + Ev.Block; // prefBegin(Block) + occurrence rank
-    Idx.TakenPre[Row + 1] = Idx.TakenPre[Row] + (Taken ? 1 : 0);
-    Idx.InstsPre[Row + 1] = Idx.InstsPre[Row] + Ev.Insts;
-    Idx.GlobalInsts[I + 1] = Idx.GlobalInsts[I] + Ev.Insts;
-    Idx.GlobalTaken[I + 1] = Idx.GlobalTaken[I] + (Taken ? 1 : 0);
+    Idx.TakenPre[Row + 1] = Idx.TakenPre[Row] + (Ev.Branch == 2 ? 1 : 0);
   }
   return Idx;
 }
@@ -79,14 +74,6 @@ uint32_t TraceIndex::usesThrough(BlockId B, uint32_t Pos) const {
   const uint32_t *Begin = OccPos.data() + BlockBegin[B];
   const uint32_t *End = OccPos.data() + BlockBegin[B + 1];
   return static_cast<uint32_t>(std::upper_bound(Begin, End, Pos) - Begin);
-}
-
-uint32_t TraceIndex::occurrenceAt(BlockId B, uint32_t Pos) const {
-  const uint32_t *Begin = OccPos.data() + BlockBegin[B];
-  const uint32_t *End = OccPos.data() + BlockBegin[B + 1];
-  const uint32_t *It = std::lower_bound(Begin, End, Pos);
-  assert(It != End && *It == Pos && "position is not an occurrence of B");
-  return static_cast<uint32_t>(It - Begin);
 }
 
 uint32_t TraceIndex::firstOutcomeChange(BlockId B, uint32_t K,
@@ -122,11 +109,4 @@ uint32_t TraceIndex::firstOutcomeChange(BlockId B, uint32_t K,
       Hi = Mid;
   }
   return Lo - 1;
-}
-
-bool TraceIndex::matches(const BlockTrace &Trace) const {
-  return numBlocks() == Trace.numBlocks() &&
-         numEvents() == Trace.numEvents() &&
-         TotalInsts == Trace.totalInsts() &&
-         TakenEvents == Trace.takenEvents();
 }

@@ -13,20 +13,24 @@
 /// The key observation (paper Section 3.1): a block's counters freeze the
 /// moment its use count reaches the retranslation threshold T, and for a
 /// fixed trace that moment is a pure function of the trace — the position
-/// of the block's T-th occurrence. The index therefore stores:
+/// of the block's T-th occurrence. Replay needs two facts per event, and
+/// the index stores exactly those (8 bytes per event):
 ///
 ///  - per-block occurrence positions in CSR layout (one flat uint32_t
 ///    event-position array plus per-block begin offsets), giving the
 ///    freeze event of block b under threshold T as occ[b][T-1];
-///  - per-block taken-bit and instruction prefix sums, giving any block's
-///    counters "as of event p" as two prefix differences;
-///  - global instruction/taken prefix sums over the whole stream for
-///    closed-form tail accounting.
+///  - per-block taken-bit prefix sums, giving any block's counters "as
+///    of event p" as a prefix lookup.
 ///
-/// Building the index is two O(events) passes over the decoded trace; it
+/// Instruction counts need no per-event array: a block retires the same
+/// count on every execution except a MemFault, which ends the run (see
+/// BlockTrace::regular()). The index keeps the trace's per-block count
+/// (N entries) and its final event, and answers instsOfFirst in O(1).
+///
+/// Building the index is one O(events) pass over the decoded trace; it
 /// is built at most once per in-memory trace (see BlockTrace::index())
 /// and never persisted: rebuilding it costs a fraction of what writing
-/// and reading back the (much larger than the trace) arrays would.
+/// and reading back the arrays would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,9 +54,11 @@ class BlockTrace;
 /// ~10^8 events, and build() refuses anything at or past 2^32.
 class TraceIndex {
 public:
-  /// Builds the index for \p Trace in two linear passes. Throws
+  /// Builds the index for \p Trace in one linear pass. Throws
   /// std::length_error (see checkPositionLimit) when the trace has too
-  /// many events for 32-bit positions.
+  /// many events for 32-bit positions, and std::invalid_argument when the
+  /// trace is not BlockTrace::regular(). Both checks run in every build
+  /// type.
   static TraceIndex build(const BlockTrace &Trace);
 
   /// The 32-bit position limit, checked in every build type: throws
@@ -64,8 +70,6 @@ public:
 
   size_t numBlocks() const { return BlockBegin.size() - 1; }
   size_t numEvents() const { return OccPos.size(); }
-  uint64_t totalInsts() const { return TotalInsts; }
-  uint64_t takenEvents() const { return TakenEvents; }
 
   /// Number of occurrences of block \p B in the trace (its final use
   /// count).
@@ -84,18 +88,19 @@ public:
   /// right after the event at \p Pos executes. O(log occurrences).
   uint32_t usesThrough(guest::BlockId B, uint32_t Pos) const;
 
-  /// The occurrence rank of \p B's event at position \p Pos (which must be
-  /// an occurrence of \p B). O(log occurrences).
-  uint32_t occurrenceAt(guest::BlockId B, uint32_t Pos) const;
-
   /// Taken-branch outcomes among the first \p K occurrences of \p B.
   uint32_t takenOfFirst(guest::BlockId B, uint32_t K) const {
     return TakenPre[prefBegin(B) + K];
   }
 
-  /// Guest instructions executed by the first \p K occurrences of \p B.
+  /// Guest instructions executed by the first \p K occurrences of \p B:
+  /// K times the block's count, with the final event's own count in
+  /// place of one of them when those occurrences include it.
   uint64_t instsOfFirst(guest::BlockId B, uint32_t K) const {
-    return InstsPre[prefBegin(B) + K];
+    const uint64_t Insts = uint64_t(K) * BlockInsts[B];
+    if (B == FinalBlock && K == occurrences(B))
+      return Insts - BlockInsts[B] + FinalInsts;
+    return Insts;
   }
 
   /// Shared counters of \p B as of (and including) the event at \p Pos —
@@ -113,15 +118,6 @@ public:
   uint32_t firstOutcomeChange(guest::BlockId B, uint32_t K,
                               bool Taken) const;
 
-  /// Guest instructions executed by events at positions < \p Pos.
-  uint64_t instsBefore(uint32_t Pos) const { return GlobalInsts[Pos]; }
-  /// Taken conditional branches among events at positions < \p Pos.
-  uint32_t takenBefore(uint32_t Pos) const { return GlobalTaken[Pos]; }
-
-  /// True when the index plausibly describes \p Trace (dimension and
-  /// total checks).
-  bool matches(const BlockTrace &Trace) const;
-
 private:
   /// Start of block \p B's prefix-sum row. Each row holds occurrences+1
   /// entries (a leading zero), so rows are shifted by one slot per block.
@@ -136,12 +132,11 @@ private:
   /// Per-block prefix sums over occurrence outcomes, rows addressed by
   /// prefBegin(); entry [row + k] covers the first k occurrences.
   std::vector<uint32_t> TakenPre;
-  std::vector<uint64_t> InstsPre;
-  /// Global prefix sums over event positions.
-  std::vector<uint64_t> GlobalInsts;
-  std::vector<uint32_t> GlobalTaken;
-  uint64_t TotalInsts = 0;
-  uint64_t TakenEvents = 0;
+  /// BlockTrace::blockInsts per block, and the block and count of the
+  /// trace's final event (the one event that may deviate).
+  std::vector<uint32_t> BlockInsts;
+  guest::BlockId FinalBlock = ~guest::BlockId(0);
+  uint32_t FinalInsts = 0;
 };
 
 } // namespace core

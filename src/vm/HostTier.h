@@ -60,9 +60,9 @@
 /// The tier holds mutable per-run state (heat, successor history,
 /// superblocks, the code cache), so unlike Interpreter one HostTier
 /// serves one run. TPDBT_HOST_TRANS=0 disables the whole tier
-/// process-wide; every pump site (BlockTrace::record, runSweep's fused
-/// pass, DbtEngine) then uses plain Interpreter::run — the A/B switch for
-/// debugging and benchmarking.
+/// process-wide; every pump site (BlockTrace::record, DbtEngine) then
+/// uses plain Interpreter::run — the A/B switch for debugging and
+/// benchmarking.
 ///
 //===----------------------------------------------------------------------===//
 

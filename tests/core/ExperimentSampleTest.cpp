@@ -1,6 +1,8 @@
 //===- tests/core/ExperimentSampleTest.cpp - Sampled-mode context -*- C++ -*-===//
 
 #include "core/Experiment.h"
+
+#include "TestSupport.h"
 #include "core/TraceSegments.h"
 
 #include <gtest/gtest.h>
@@ -40,7 +42,7 @@ std::string tempDir(const char *Name) {
 TEST(ExperimentSampleTest, SampledModePopulatesReplicates) {
   // Tiny-scale traces fit in one default-size segment; slice finer so the
   // sample spans enough segments to form jackknife groups.
-  setenv("TPDBT_SEGMENT_EVENTS", "1024", 1);
+  testsupport::ScopedEnv Budget("TPDBT_SEGMENT_EVENTS", "1024");
   ExperimentContext Ctx(sampledConfig());
   EXPECT_TRUE(Ctx.sampling());
 
@@ -60,7 +62,6 @@ TEST(ExperimentSampleTest, SampledModePopulatesReplicates) {
             profile::printSnapshot(Exact.avep("gzip")));
   EXPECT_EQ(profile::printSnapshot(Ctx.train("gzip")),
             profile::printSnapshot(Exact.train("gzip")));
-  unsetenv("TPDBT_SEGMENT_EVENTS");
 }
 
 TEST(ExperimentSampleTest, OffModeIsExactPath) {
@@ -182,9 +183,9 @@ TEST(ExperimentSampleTest, StatsSummaryMentionsSample) {
 }
 
 TEST(ExperimentSampleTest, FromEnvParsesSampleKnobs) {
-  setenv("TPDBT_SAMPLE_MODE", "stratified", 1);
-  setenv("TPDBT_SAMPLE_BUDGET", "0.5", 1);
-  setenv("TPDBT_SAMPLE_SEED", "0x123", 1);
+  testsupport::ScopedEnv Mode("TPDBT_SAMPLE_MODE", "stratified");
+  testsupport::ScopedEnv Budget("TPDBT_SAMPLE_BUDGET", "0.5");
+  testsupport::ScopedEnv Seed("TPDBT_SAMPLE_SEED", "0x123");
   ExperimentConfig C = ExperimentConfig::fromEnv();
   EXPECT_TRUE(C.Sample.enabled());
   EXPECT_DOUBLE_EQ(C.Sample.BudgetFrac, 0.5);
@@ -196,8 +197,8 @@ TEST(ExperimentSampleTest, FromEnvParsesSampleKnobs) {
   EXPECT_EQ(C.fingerprint(), Off.fingerprint());
   EXPECT_EQ(C.executionFingerprint(), Off.executionFingerprint());
   EXPECT_EQ(C.policyFingerprint(), Off.policyFingerprint());
-  unsetenv("TPDBT_SAMPLE_MODE");
-  unsetenv("TPDBT_SAMPLE_BUDGET");
-  unsetenv("TPDBT_SAMPLE_SEED");
+  Mode.set(nullptr);
+  Budget.set(nullptr);
+  Seed.set(nullptr);
   EXPECT_FALSE(ExperimentConfig::fromEnv().Sample.enabled());
 }

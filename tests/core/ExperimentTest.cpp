@@ -2,6 +2,7 @@
 
 #include "core/Experiment.h"
 
+#include "TestSupport.h"
 #include "support/TextFile.h"
 
 #include <gtest/gtest.h>
@@ -145,23 +146,20 @@ TEST(ExperimentContextTest, WarmUpMatchesLazyPath) {
 }
 
 TEST(ExperimentConfigTest, FromEnvParsesKnobs) {
-  setenv("TPDBT_SCALE", "0.5", 1);
-  setenv("TPDBT_CACHE_DIR", "off", 1);
-  setenv("TPDBT_JOBS", "3", 1);
+  testsupport::ScopedEnv Scale("TPDBT_SCALE", "0.5");
+  testsupport::ScopedEnv CacheDir("TPDBT_CACHE_DIR", "off");
+  testsupport::ScopedEnv Jobs("TPDBT_JOBS", "3");
   ExperimentConfig C = ExperimentConfig::fromEnv();
   EXPECT_DOUBLE_EQ(C.Scale, 0.5);
   EXPECT_TRUE(C.CacheDir.empty());
   EXPECT_EQ(C.Jobs, 3u);
   EXPECT_EQ(C.effectiveJobs(), 3u);
-  setenv("TPDBT_CACHE_DIR", "/tmp/somewhere", 1);
+  CacheDir.set("/tmp/somewhere");
   EXPECT_EQ(ExperimentConfig::fromEnv().CacheDir, "/tmp/somewhere");
   // Zero or garbage falls back to the hardware default.
-  setenv("TPDBT_JOBS", "0", 1);
+  Jobs.set("0");
   EXPECT_EQ(ExperimentConfig::fromEnv().Jobs, 0u);
   EXPECT_GE(ExperimentConfig::fromEnv().effectiveJobs(), 1u);
-  unsetenv("TPDBT_SCALE");
-  unsetenv("TPDBT_CACHE_DIR");
-  unsetenv("TPDBT_JOBS");
 }
 
 TEST(ExperimentConfigTest, JobsDoNotAffectFingerprint) {

@@ -23,26 +23,33 @@ bool snapshotsEqual(const profile::ProfileSnapshot &A,
 TEST(RunnerTest, SweepMatchesDedicatedEngineRuns) {
   // The key correctness property of the shared-execution optimization:
   // one pass driving N policies produces byte-identical snapshots to N
-  // dedicated DbtEngine runs.
+  // dedicated DbtEngine runs — at any threshold count, a single threshold
+  // and duplicated ones included.
   const auto *Spec = workloads::findSpec("twolf");
   auto B = workloads::generateBenchmark(workloads::scaledSpec(*Spec, 0.02));
 
-  std::vector<uint64_t> Thresholds = {1, 100, 500, 2000, 100000};
-  dbt::DbtOptions Base;
-  SweepResult Sweep = runSweep(B.Ref, Thresholds, Base, 100000000);
-
-  for (size_t I = 0; I < Thresholds.size(); ++I) {
-    dbt::DbtOptions Opts;
-    Opts.Threshold = Thresholds[I];
-    dbt::DbtEngine Engine(B.Ref, Opts);
-    profile::ProfileSnapshot Single = Engine.run(100000000);
-    EXPECT_TRUE(snapshotsEqual(Sweep.PerThreshold[I], Single))
-        << "threshold " << Thresholds[I];
-  }
-
   dbt::DbtOptions AvepOpts;
   dbt::DbtEngine AvepEngine(B.Ref, AvepOpts);
-  EXPECT_TRUE(snapshotsEqual(Sweep.Average, AvepEngine.run(100000000)));
+  const profile::ProfileSnapshot Avep = AvepEngine.run(100000000);
+
+  const std::vector<std::vector<uint64_t>> Lists = {
+      {1, 100, 500, 2000, 100000}, {2000}, {500, 500}};
+  for (const std::vector<uint64_t> &Thresholds : Lists) {
+    dbt::DbtOptions Base;
+    SweepResult Sweep = runSweep(B.Ref, Thresholds, Base, 100000000);
+    ASSERT_EQ(Sweep.PerThreshold.size(), Thresholds.size());
+
+    for (size_t I = 0; I < Thresholds.size(); ++I) {
+      dbt::DbtOptions Opts;
+      Opts.Threshold = Thresholds[I];
+      dbt::DbtEngine Engine(B.Ref, Opts);
+      profile::ProfileSnapshot Single = Engine.run(100000000);
+      EXPECT_TRUE(snapshotsEqual(Sweep.PerThreshold[I], Single))
+          << "threshold " << Thresholds[I] << " of " << Thresholds.size();
+    }
+    EXPECT_TRUE(snapshotsEqual(Sweep.Average, Avep))
+        << Thresholds.size() << " thresholds";
+  }
 }
 
 TEST(RunnerTest, SweepWithFpBenchmark) {

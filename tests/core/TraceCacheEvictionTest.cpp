@@ -2,6 +2,7 @@
 
 #include "core/TraceCache.h"
 
+#include "TestSupport.h"
 #include "core/TraceSegments.h"
 #include "support/TextFile.h"
 #include "workloads/BenchSpec.h"
@@ -10,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -25,9 +25,10 @@ namespace {
 namespace fs = std::filesystem;
 
 /// A scratch cache directory plus a TPDBT_CACHE_MAX_BYTES value, both
-/// restored on destruction so other tests see a clean environment.
+/// restored on destruction so other tests see the inherited environment.
 struct BudgetFixture {
   fs::path Dir;
+  testsupport::ScopedEnv Budget{"TPDBT_CACHE_MAX_BYTES"};
 
   BudgetFixture() {
     Dir = fs::temp_directory_path() /
@@ -35,13 +36,12 @@ struct BudgetFixture {
     fs::create_directories(Dir);
   }
   ~BudgetFixture() {
-    ::unsetenv("TPDBT_CACHE_MAX_BYTES");
     std::error_code Ec;
     fs::remove_all(Dir, Ec);
   }
 
   void setBudget(uint64_t Bytes) {
-    ::setenv("TPDBT_CACHE_MAX_BYTES", std::to_string(Bytes).c_str(), 1);
+    Budget.set(std::to_string(Bytes).c_str());
   }
 
   /// Writes a .trace file of \p Bytes and stamps it \p AgeSeconds into
@@ -68,13 +68,12 @@ struct BudgetFixture {
 } // namespace
 
 TEST(CacheMaxBytesTest, ReadsEnvironmentFresh) {
-  ::unsetenv("TPDBT_CACHE_MAX_BYTES");
+  testsupport::ScopedEnv Budget("TPDBT_CACHE_MAX_BYTES", nullptr);
   EXPECT_EQ(cacheMaxBytes(), 0u);
-  ::setenv("TPDBT_CACHE_MAX_BYTES", "1048576", 1);
+  Budget.set("1048576");
   EXPECT_EQ(cacheMaxBytes(), 1048576u);
-  ::setenv("TPDBT_CACHE_MAX_BYTES", "not a number", 1);
+  Budget.set("not a number");
   EXPECT_EQ(cacheMaxBytes(), 0u);
-  ::unsetenv("TPDBT_CACHE_MAX_BYTES");
 }
 
 TEST(TraceCacheEvictionTest, EvictsOldestEntriesUntilUnderBudget) {
@@ -109,7 +108,7 @@ TEST(TraceCacheEvictionTest, EvictsOldestEntriesUntilUnderBudget) {
 TEST(TraceCacheEvictionTest, UnboundedBudgetNeverEvicts) {
   BudgetFixture F;
   const std::string A = F.addEntry("a.ref.0001", 4000, 100);
-  ::unsetenv("TPDBT_CACHE_MAX_BYTES");
+  F.Budget.set(nullptr);
   TraceCache Cache(F.Dir.string());
   Cache.enforceBudget();
   EXPECT_TRUE(fs::exists(A));
@@ -178,7 +177,7 @@ TEST(TraceCacheEvictionTest, BudgetCountsOnlyTraceBytes) {
 
 TEST(TraceCacheEvictionTest, StaleSidecarIsRemovedOnDiskHit) {
   BudgetFixture F;
-  ::unsetenv("TPDBT_CACHE_MAX_BYTES");
+  F.Budget.set(nullptr);
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.01));
   std::string Entry;

@@ -3,12 +3,14 @@
 // Seeded mutation fuzzing of the one on-disk trace decoder (TPDT v3):
 // BlockTrace::parse and the streaming SegmentedTraceReader. A fixed-seed
 // generator mutates a small corpus a few thousand times; no mutant may
-// make either decoder throw, and whatever decodes must be self-consistent.
+// make either decoder throw, whatever decodes must be self-consistent,
+// and whatever parses must build its replay index without throwing.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TraceFixtures.h"
 #include "core/Trace.h"
+#include "core/TraceIndex.h"
 #include "core/TraceSegments.h"
 #include "support/Rng.h"
 #include "support/TextFile.h"
@@ -97,6 +99,8 @@ bool checkParse(const std::string &Bytes, BlockTrace &T) {
   EXPECT_EQ(T.takenEvents(), Taken);
   EXPECT_EQ(T.takenEvents(), TakenEvents);
   EXPECT_EQ(T.totalInsts(), Insts);
+  EXPECT_TRUE(T.regular());
+  EXPECT_NO_THROW(TraceIndex::build(T));
   return true;
 }
 

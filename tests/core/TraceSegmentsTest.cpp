@@ -2,6 +2,7 @@
 
 #include "core/TraceSegments.h"
 
+#include "TestSupport.h"
 #include "TraceFixtures.h"
 #include "core/TraceCache.h"
 #include "support/Compression.h"
@@ -13,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <unistd.h>
 
@@ -62,19 +62,18 @@ void expectSameSweep(const SweepResult &A, const SweepResult &B,
 } // namespace
 
 TEST(TraceSegmentsTest, BudgetKnobParsesAndClamps) {
-  unsetenv("TPDBT_SEGMENT_EVENTS");
+  testsupport::ScopedEnv Budget("TPDBT_SEGMENT_EVENTS", nullptr);
   EXPECT_EQ(segmentEventBudget(), DefaultSegmentEvents);
-  setenv("TPDBT_SEGMENT_EVENTS", "0", 1);
+  Budget.set("0");
   EXPECT_EQ(segmentEventBudget(), DefaultSegmentEvents); // no monolithic mode
-  setenv("TPDBT_SEGMENT_EVENTS", "1", 1);
+  Budget.set("1");
   EXPECT_EQ(segmentEventBudget(), MinSegmentEvents); // clamped up
-  setenv("TPDBT_SEGMENT_EVENTS", "4096", 1);
+  Budget.set("4096");
   EXPECT_EQ(segmentEventBudget(), 4096u);
-  setenv("TPDBT_SEGMENT_EVENTS", "garbage", 1);
+  Budget.set("garbage");
   EXPECT_EQ(segmentEventBudget(), DefaultSegmentEvents);
-  setenv("TPDBT_SEGMENT_EVENTS", "12x", 1);
+  Budget.set("12x");
   EXPECT_EQ(segmentEventBudget(), DefaultSegmentEvents);
-  unsetenv("TPDBT_SEGMENT_EVENTS");
 }
 
 TEST(TraceSegmentsTest, SegmentEncodeDecodeRoundTrip) {
@@ -275,15 +274,13 @@ TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
   const uint64_t MaxBlocks = 20000;
 
   // Reference: a direct in-process recording (no pipeline involved).
-  unsetenv("TPDBT_SEGMENT_EVENTS");
   BlockTrace Direct = BlockTrace::record(B.Ref, MaxBlocks);
 
-  setenv("TPDBT_SEGMENT_EVENTS", "300", 1);
+  testsupport::ScopedEnv Budget("TPDBT_SEGMENT_EVENTS", "300");
   {
     TraceCache Cache(Dir);
     auto T = Cache.get("mcf", "ref", 0x77, B.Ref, MaxBlocks);
     ASSERT_NE(T, nullptr);
-    EXPECT_EQ(Cache.stats().StreamedRecords.load(), 1u);
     EXPECT_GT(Cache.stats().SegmentsPiped.load(), 1u);
     expectSameEvents(Direct, *T, "streamed record");
     // The pipeline only compresses; replay builds the index on demand.
@@ -313,7 +310,6 @@ TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
     EXPECT_EQ(T->sharedIndex(), nullptr);
   }
 
-  unsetenv("TPDBT_SEGMENT_EVENTS");
   std::filesystem::remove_all(Dir);
 }
 
@@ -412,5 +408,59 @@ TEST(TraceSegmentsTest, CacheCountsOversizedEventClaimAsMiss) {
   expectSameEvents(Direct, *Got, "re-recorded entry");
   ASSERT_TRUE(SegmentedTraceReader::open(Path, Reader, nullptr));
   EXPECT_EQ(Reader.header().NumEvents, Direct.numEvents());
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(TraceSegmentsTest, IrregularInstsCountsAreCorruptMisses) {
+  // A container whose totals, directory and counter table all agree with
+  // its events, but where one non-final event retires a different
+  // instruction count than the other occurrences of its block. Only a
+  // final MemFault event can do that, and the replay index derives
+  // per-occurrence counts from the block, so parse refuses the trace.
+  auto B = smallBench("gzip");
+  const uint64_t MaxBlocks = 2000;
+  const BlockTrace Direct = BlockTrace::record(B.Ref, MaxBlocks);
+  ASSERT_TRUE(Direct.regular());
+  std::vector<bool> Seen(Direct.numBlocks(), false);
+  size_t Victim = 0;
+  for (size_t I = 0; I + 1 < Direct.numEvents() && !Victim; ++I) {
+    if (Seen[Direct.event(I).Block])
+      Victim = I;
+    Seen[Direct.event(I).Block] = true;
+  }
+  ASSERT_GT(Victim, 0u);
+  BlockTrace Bad;
+  Bad.setNumBlocks(Direct.numBlocks());
+  for (size_t I = 0; I < Direct.numEvents(); ++I) {
+    TraceEvent E = Direct.event(I);
+    E.Insts += I == Victim;
+    Bad.append(E);
+  }
+  ASSERT_FALSE(Bad.regular());
+  const std::string Bytes = Bad.serialize(256);
+  BlockTrace Out;
+  std::string Error;
+  EXPECT_FALSE(BlockTrace::parse(Bytes, Out, &Error));
+  EXPECT_NE(Error.find("insts"), std::string::npos) << Error;
+
+  // Through the cache the same bytes are one corrupt miss: re-recorded,
+  // overwritten, and nothing throws.
+  const std::string Dir = tempDir("irregular_insts");
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(ensureDirectory(Dir));
+  {
+    TraceCache Cache(Dir);
+    const std::string Path = Cache.entryPath("gzip", "ref", 0x46);
+    ASSERT_TRUE(writeTextFile(Path, Bytes));
+    std::shared_ptr<const BlockTrace> Got;
+    EXPECT_NO_THROW(Got = Cache.get("gzip", "ref", 0x46, B.Ref, MaxBlocks));
+    ASSERT_NE(Got, nullptr);
+    EXPECT_EQ(Cache.stats().CorruptEntries.load(), 1u);
+    EXPECT_EQ(Cache.stats().Misses.load(), 1u);
+    expectSameEvents(Direct, *Got, "re-recorded entry");
+  }
+  TraceCache Warm(Dir);
+  ASSERT_NE(Warm.get("gzip", "ref", 0x46, B.Ref, MaxBlocks), nullptr);
+  EXPECT_EQ(Warm.stats().DiskHits.load(), 1u);
   std::filesystem::remove_all(Dir);
 }

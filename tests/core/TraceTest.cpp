@@ -2,6 +2,9 @@
 
 #include "core/Trace.h"
 
+#include "TestSupport.h"
+#include "dbt/DbtEngine.h"
+#include "guest/ProgramBuilder.h"
 #include "support/Rng.h"
 #include "support/Varint.h"
 #include "workloads/BenchSpec.h"
@@ -35,6 +38,40 @@ void expectIndexedMatchesPump(const BlockTrace &T, const guest::Program &P,
   EXPECT_EQ(profile::printSnapshot(Indexed.Average),
             profile::printSnapshot(Pumped.Average))
       << Label;
+}
+
+/// A three-block loop (head, a, latch) whose latch loads from the outer
+/// counter before branching out on taken and back to head on
+/// fall-through. Once the counter reaches \p MemWords the load faults:
+/// the final event is a latch that retires fewer instructions and has no
+/// branch outcome, which the taken-bit sums read like the not-taken back
+/// edge. Its iteration is complete, so loop folding runs over it.
+guest::Program makeFaultingLatchLoop(int64_t Iters, uint64_t MemWords) {
+  guest::ProgramBuilder PB("latch-fault");
+  auto Entry = PB.createBlock("entry");
+  auto Head = PB.createBlock("head");
+  auto A = PB.createBlock("a");
+  auto Latch = PB.createBlock("latch");
+  auto Exit = PB.createBlock("exit");
+  PB.setMemWords(MemWords);
+  PB.setEntry(Entry);
+  PB.switchTo(Entry);
+  PB.movI(0, 0);
+  PB.jump(Head);
+  PB.switchTo(Head);
+  PB.addI(2, 0, 7);
+  PB.jump(A);
+  PB.switchTo(A);
+  PB.xorI(3, 2, 0x33);
+  PB.jump(Latch);
+  PB.switchTo(Latch);
+  PB.addI(0, 0, 1);
+  PB.mov(1, 0);
+  PB.load(4, 1, 0); // faults once r0 reaches MemWords
+  PB.branchImm(guest::CondKind::GeI, 0, Iters, Exit, Head);
+  PB.switchTo(Exit);
+  PB.halt();
+  return PB.build();
 }
 
 } // namespace
@@ -90,23 +127,50 @@ TEST(TraceTest, ParseRejectsCorruption) {
 
 TEST(TraceTest, ReplayMatchesLiveSweepExactly) {
   // The headline property: trace-driven replay produces byte-identical
-  // snapshots to the live interpreted sweep.
+  // snapshots to a live interpreted DbtEngine run per threshold.
   for (const char *Name : {"gzip", "swim"}) {
     auto B = smallBench(Name);
     std::vector<uint64_t> Thresholds = {1, 100, 2000};
-    SweepResult Live = runSweep(B.Ref, Thresholds, dbt::DbtOptions(),
-                                ~0ull);
     BlockTrace T = BlockTrace::record(B.Ref);
     SweepResult Replayed =
         replaySweep(T, B.Ref, Thresholds, dbt::DbtOptions());
 
-    for (size_t I = 0; I < Thresholds.size(); ++I)
+    for (size_t I = 0; I < Thresholds.size(); ++I) {
+      dbt::DbtOptions Opts;
+      Opts.Threshold = Thresholds[I];
       EXPECT_EQ(profile::printSnapshot(Replayed.PerThreshold[I]),
-                profile::printSnapshot(Live.PerThreshold[I]))
+                profile::printSnapshot(dbt::DbtEngine(B.Ref, Opts).run(~0ull)))
           << Name << " T=" << Thresholds[I];
+    }
     EXPECT_EQ(profile::printSnapshot(Replayed.Average),
-              profile::printSnapshot(Live.Average))
+              profile::printSnapshot(
+                  dbt::DbtEngine(B.Ref, dbt::DbtOptions()).run(~0ull)))
         << Name;
+  }
+}
+
+TEST(TraceTest, AnalyticMatchesPumpOnFaultingTrace) {
+  // Both programs end in a MemFault: the final event retires fewer
+  // instructions than its block's other occurrences. Low thresholds form
+  // the loop region and fold iterations (over the faulting one, in the
+  // latch-fault loop); high ones leave the faulting block unfrozen, so
+  // the profiling phase counts the final event. Either way the analytic
+  // path reads it through the index's final-event correction.
+  const std::pair<const char *, guest::Program> Programs[] = {
+      {"mid-chain fault", testsupport::makeChainProgram(200, 64)},
+      {"latch fault", makeFaultingLatchLoop(200, 64)}};
+  for (const auto &[Label, P] : Programs) {
+    BlockTrace T = BlockTrace::record(P);
+    ASSERT_TRUE(T.regular()) << Label;
+    ASSERT_GT(T.numEvents(), 0u) << Label;
+    const TraceEvent &Last = T.event(T.numEvents() - 1);
+    ASSERT_LT(Last.Insts, T.blockInsts(Last.Block)) << Label;
+    for (size_t PoolLimit : {64, 2, 1}) {
+      dbt::DbtOptions Opts;
+      Opts.PoolLimit = PoolLimit;
+      expectIndexedMatchesPump(T, P, {1, 2, 3, 5, 8, 16, 40, 64, 65, 100},
+                               Opts, Label);
+    }
   }
 }
 

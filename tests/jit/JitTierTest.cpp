@@ -11,6 +11,7 @@
 
 #include "vm/HostTier.h"
 
+#include "TestSupport.h"
 #include "core/Trace.h"
 #include "guest/ProgramBuilder.h"
 #include "jit/CodeBuffer.h"
@@ -21,38 +22,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 using namespace tpdbt;
 using namespace tpdbt::vm;
+using testsupport::makeChainProgram;
+using testsupport::ScopedEnv;
 
 namespace {
-
-/// Sets an environment variable for one test scope and restores the
-/// previous value (or absence) on destruction. The jit knobs are re-read
-/// per HostTier construction, so this is all a test needs.
-class ScopedEnv {
-public:
-  ScopedEnv(const char *Name, const char *Value) : Name(Name) {
-    const char *Prev = std::getenv(Name);
-    Had = Prev != nullptr;
-    if (Had)
-      Old = Prev;
-    setenv(Name, Value, 1);
-  }
-  ~ScopedEnv() {
-    if (Had)
-      setenv(Name.c_str(), Old.c_str(), 1);
-    else
-      unsetenv(Name.c_str());
-  }
-
-private:
-  std::string Name;
-  std::string Old;
-  bool Had = false;
-};
 
 struct CapturedEvent {
   guest::BlockId Block;
@@ -100,39 +77,6 @@ HostTierStats expectTierMatchesPlain(const guest::Program &P,
   EXPECT_EQ(TierM.Regs, PlainM.Regs) << Label;
   EXPECT_EQ(TierM.Mem, PlainM.Mem) << Label;
   return Tier.stats();
-}
-
-/// The HostTierTest chain shape: a four-block chain re-entered \p Iters
-/// times whose load faults once the outer counter reaches MemWords.
-guest::Program makeChainProgram(int64_t Iters, uint64_t MemWords) {
-  guest::ProgramBuilder PB("chain");
-  auto Entry = PB.createBlock("entry");
-  auto Head = PB.createBlock("head");
-  auto A = PB.createBlock("a");
-  auto B = PB.createBlock("b");
-  auto Latch = PB.createBlock("latch");
-  auto Exit = PB.createBlock("exit");
-  PB.setMemWords(MemWords);
-  PB.setEntry(Entry);
-  PB.switchTo(Entry);
-  PB.movI(0, 0);
-  PB.jump(Head);
-  PB.switchTo(Head);
-  PB.addI(2, 0, 7);
-  PB.jump(A);
-  PB.switchTo(A);
-  PB.xorI(3, 2, 0x33);
-  PB.jump(B);
-  PB.switchTo(B);
-  PB.mov(1, 0);
-  PB.load(4, 1, 0); // faults once r0 reaches MemWords
-  PB.jump(Latch);
-  PB.switchTo(Latch);
-  PB.addI(0, 0, 1);
-  PB.branchImm(guest::CondKind::LtI, 0, Iters, Head, Exit);
-  PB.switchTo(Exit);
-  PB.halt();
-  return PB.build();
 }
 
 /// A permanent phase flip with an exactly countable miss window. Phase A

@@ -9,6 +9,7 @@
 
 #include "vm/HostTier.h"
 
+#include "TestSupport.h"
 #include "core/Runner.h"
 #include "core/Trace.h"
 #include "guest/ProgramBuilder.h"
@@ -21,6 +22,7 @@
 
 using namespace tpdbt;
 using namespace tpdbt::vm;
+using testsupport::makeChainProgram;
 
 namespace {
 
@@ -72,42 +74,6 @@ HostTierStats expectTierMatchesPlain(const guest::Program &P,
   EXPECT_EQ(TierM.Regs, PlainM.Regs) << Label;
   EXPECT_EQ(TierM.Mem, PlainM.Mem) << Label;
   return Tier.stats();
-}
-
-/// A four-block chain (head, two straight-line members, a conditional
-/// latch) re-entered \p Iters times. Block B loads from address r1 = r0
-/// (the outer counter), so shrinking memory below Iters plants a MemFault
-/// in the middle of the chain once it is hot. No block branches to
-/// itself, keeping every member out of the self-loop tier.
-guest::Program makeChainProgram(int64_t Iters, uint64_t MemWords) {
-  guest::ProgramBuilder PB("chain");
-  auto Entry = PB.createBlock("entry");
-  auto Head = PB.createBlock("head");
-  auto A = PB.createBlock("a");
-  auto B = PB.createBlock("b");
-  auto Latch = PB.createBlock("latch");
-  auto Exit = PB.createBlock("exit");
-  PB.setMemWords(MemWords);
-  PB.setEntry(Entry);
-  PB.switchTo(Entry);
-  PB.movI(0, 0);
-  PB.jump(Head);
-  PB.switchTo(Head);
-  PB.addI(2, 0, 7);
-  PB.jump(A);
-  PB.switchTo(A);
-  PB.xorI(3, 2, 0x33);
-  PB.jump(B);
-  PB.switchTo(B);
-  PB.mov(1, 0);
-  PB.load(4, 1, 0); // faults once r0 reaches MemWords
-  PB.jump(Latch);
-  PB.switchTo(Latch);
-  PB.addI(0, 0, 1);
-  PB.branchImm(guest::CondKind::LtI, 0, Iters, Head, Exit);
-  PB.switchTo(Exit);
-  PB.halt();
-  return PB.build();
 }
 
 } // namespace
