@@ -143,12 +143,11 @@ BENCHMARK_CAPTURE(BM_RecordBenchmarkNoJit, swim, "swim")
 BENCHMARK_CAPTURE(BM_RecordBenchmarkNoJit, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
-/// The full cold-record cache miss through the segment pipeline at the
-/// TPDBT_SEGMENT_EVENTS budget (default 65536): interpret, encode +
-/// compress each segment on the pipeline's consumer thread while
-/// recording continues, assemble the TPDT v3 container, write .trace. No
-/// index is built; replay does that (BM_BuildTraceIndex).
-void BM_RecordStreamed(benchmark::State &State, const char *) {
+/// The full cold-record cache miss: interpret the whole trace, then
+/// serialize it at the TPDBT_SEGMENT_EVENTS budget (default 65536:
+/// encode + compress each segment, assemble the TPDT v3 container) and
+/// write .trace. No index is built; replay does that (BM_BuildTraceIndex).
+void BM_RecordCacheMiss(benchmark::State &State, const char *) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("mcf"), 0.02));
   const std::string Dir =
@@ -168,7 +167,7 @@ void BM_RecordStreamed(benchmark::State &State, const char *) {
   std::filesystem::remove_all(Dir);
   State.SetItemsProcessed(static_cast<int64_t>(Events));
 }
-BENCHMARK_CAPTURE(BM_RecordStreamed, mcf, "mcf")
+BENCHMARK_CAPTURE(BM_RecordCacheMiss, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
 /// The trace-cache hit path: drive N thresholds from an indexed trace

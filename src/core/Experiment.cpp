@@ -468,10 +468,10 @@ std::string ExperimentContext::statsSummary() const {
       "jobs=%u prof %llu hit / %llu miss (%llu corrupt), trace %llu hit / "
       "%llu miss (%llu corrupt), %llu sweeps, %.1fs recording, "
       "%.1fs replaying, index %llu hit / %llu build (%.1fs), "
-      "host %llu chained / %llu folded (%llu closed) / %llu fallback, "
+      "host %llu chained / %llu folded / %llu fallback, "
       "jit %llu units / %llu blk / %llu iter / %llu deopt / %llu flush "
       "(%.2fs compile), "
-      "stream %llu seg (%.1fs work, %.1fs flush), "
+      "stream %llu seg (%.1fs flush), "
       "evict %llu (%.1f MB)",
       Config.effectiveJobs(),
       static_cast<unsigned long long>(
@@ -505,8 +505,6 @@ std::string ExperimentContext::statsSummary() const {
       static_cast<unsigned long long>(
           TC.HostFoldedIters.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
-          TC.HostClosedFormIters.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
           TC.HostFallbacks.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           TC.JitUnits.load(std::memory_order_relaxed)),
@@ -523,9 +521,6 @@ std::string ExperimentContext::statsSummary() const {
           1e6,
       static_cast<unsigned long long>(
           TC.SegmentsPiped.load(std::memory_order_relaxed)),
-      static_cast<double>(
-          TC.PipelineMicros.load(std::memory_order_relaxed)) /
-          1e6,
       static_cast<double>(
           TC.FlushMicros.load(std::memory_order_relaxed)) /
           1e6,

@@ -34,29 +34,15 @@ namespace {
 /// the bulk appendRun() path, chain batches append their pre-computed
 /// events, and plain events append as before. Expanded in order, the
 /// result is byte-identical to the per-event recording.
-///
-/// When a segment callback is armed, each delivery ends with one integer
-/// compare against the next boundary; crossings hand the trace to the
-/// callback, which returns the boundary to watch for next. Batched
-/// deliveries (runs, chains) check once after the whole batch, so a
-/// crossing can overshoot the boundary — the callback cuts segments by
-/// its own budget arithmetic, not by the overshoot point.
 struct RecordSink {
   BlockTrace &T;
-  const BlockTrace::SegmentProgressFn *OnSegment = nullptr;
-  uint64_t NextBoundary = 0; ///< 0 = segment callback disabled
 
-  void boundaryCheck() {
-    if (NextBoundary && T.numEvents() >= NextBoundary)
-      NextBoundary = (*OnSegment)(T);
-  }
   void onEvent(BlockId B, const vm::BlockResult &R) {
     TraceEvent E;
     E.Block = B;
     E.Branch = R.IsCondBranch ? (R.Taken ? 2 : 1) : 0;
     E.Insts = R.InstsExecuted;
     T.append(E);
-    boundaryCheck();
   }
   void onRun(BlockId B, const vm::BlockResult &R, uint64_t Count) {
     TraceEvent E;
@@ -64,22 +50,18 @@ struct RecordSink {
     E.Branch = R.IsCondBranch ? (R.Taken ? 2 : 1) : 0;
     E.Insts = R.InstsExecuted;
     T.appendRun(E, Count);
-    boundaryCheck();
   }
   void onChain(const vm::SbEvent *Events, size_t Count) {
     for (size_t I = 0; I < Count; ++I)
       T.append(TraceEvent{Events[I].Block, Events[I].Branch,
                           Events[I].Insts});
-    boundaryCheck();
   }
 };
 
 } // namespace
 
 BlockTrace BlockTrace::record(const Program &P, uint64_t MaxBlocks,
-                              vm::HostTierStats *TierStats,
-                              const SegmentProgressFn &OnSegment,
-                              uint64_t SegmentBudget) {
+                              vm::HostTierStats *TierStats) {
   BlockTrace T;
   T.setNumBlocks(P.numBlocks());
   // Reserve the whole event budget up front (capped — reserved pages are
@@ -91,8 +73,7 @@ BlockTrace BlockTrace::record(const Program &P, uint64_t MaxBlocks,
   vm::Interpreter Interp(P);
   vm::Machine M;
   M.reset(P);
-  RecordSink Sink{T, OnSegment ? &OnSegment : nullptr,
-                  OnSegment ? SegmentBudget : 0};
+  RecordSink Sink{T};
   if (vm::HostTier::enabled()) {
     vm::HostTier Tier(Interp);
     Tier.run(M, MaxBlocks, Sink);
@@ -104,21 +85,6 @@ BlockTrace BlockTrace::record(const Program &P, uint64_t MaxBlocks,
     Sink.onEvent(B, R);
   });
   return T;
-}
-
-std::string BlockTrace::serialize(uint64_t Budget) const {
-  assert(Budget >= 1 && "segment budget must be positive");
-  std::vector<TraceSegmentRecord> Segments;
-  Segments.reserve(Events.size() / Budget + 1);
-  uint64_t RunInsts = 0, RunTaken = 0;
-  for (size_t At = 0; At < Events.size();) {
-    const size_t N =
-        static_cast<size_t>(std::min<uint64_t>(Budget, Events.size() - At));
-    Segments.push_back(makeSegmentRecord(&Events[At], N, RunInsts, RunTaken));
-    At += N;
-  }
-  return assembleSegmentedTrace(NumBlocks, Events.size(), TotalInsts, Budget,
-                                Final, Segments);
 }
 
 bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,

@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,8 +47,8 @@ class TraceIndex;
 /// Default per-segment event budget of the serialized form: 64Ki events
 /// (~1 MiB of decoded events, a few hundred KiB compressed) — big enough
 /// that per-segment overheads (TPDZ header, delta restart, directory row)
-/// are noise, small enough that dozens of segments are in flight even at
-/// bench scale.
+/// are noise, small enough that sampled replay can skip most of a
+/// bench-scale trace segment by segment.
 constexpr uint64_t DefaultSegmentEvents = uint64_t(1) << 16;
 
 /// One recorded block event.
@@ -63,31 +62,20 @@ struct TraceEvent {
 /// A recorded execution.
 class BlockTrace {
 public:
-  /// Segment-boundary callback for record(): invoked with the trace so
-  /// far whenever the event count reaches the current boundary; returns
-  /// the next boundary to watch for (core/TracePipeline.h hands finished
-  /// segments to its compressor/indexer stage from here). The callback
-  /// must not retain references into the trace across calls — the event
-  /// vector may reallocate as recording continues.
-  using SegmentProgressFn = std::function<uint64_t(const BlockTrace &)>;
-
   /// Records a full execution of \p P (up to \p MaxBlocks events).
   /// Interpretation runs under the host translation tier (vm/HostTier.h)
   /// unless TPDBT_HOST_TRANS=0; either way the recorded bytes are
   /// identical — self-loop runs land through appendRun() instead of
   /// per-event append(). \p TierStats, when non-null, accumulates the
-  /// tier's coverage counters. When \p SegmentBudget is nonzero,
-  /// \p OnSegment fires at each boundary crossing (one integer compare
-  /// per sink delivery otherwise) — boundary checks run after batched
-  /// deliveries, so a crossing can overshoot by one run/chain batch.
+  /// tier's coverage counters.
   static BlockTrace record(const guest::Program &P, uint64_t MaxBlocks = ~0ull,
-                           vm::HostTierStats *TierStats = nullptr,
-                           const SegmentProgressFn &OnSegment = nullptr,
-                           uint64_t SegmentBudget = 0);
+                           vm::HostTierStats *TierStats = nullptr);
 
   /// Serializes to the TPDT v3 container with \p Budget events per
   /// segment (>= 1; the last segment takes the remainder). parse() reads
-  /// it back event-identical at any budget.
+  /// it back event-identical at any budget. The one trace writer: a cold
+  /// TraceCache miss records first, then writes this. Defined next to the
+  /// reader in core/TraceSegments.cpp.
   std::string serialize(uint64_t Budget = DefaultSegmentEvents) const;
   /// Parses a TPDT v3 container; any other input (including the retired
   /// v1/v2 layouts) fails with \p Error set.

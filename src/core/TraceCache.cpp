@@ -2,7 +2,6 @@
 
 #include "core/TraceCache.h"
 
-#include "core/TracePipeline.h"
 #include "core/TraceSegments.h"
 #include "support/Format.h"
 #include "support/TextFile.h"
@@ -16,6 +15,17 @@
 
 using namespace tpdbt;
 using namespace tpdbt::core;
+
+namespace {
+
+uint64_t microsSince(std::chrono::steady_clock::time_point Start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - Start)
+          .count());
+}
+
+} // namespace
 
 uint64_t tpdbt::core::cacheMaxBytes() {
   const char *Env = std::getenv("TPDBT_CACHE_MAX_BYTES");
@@ -160,33 +170,15 @@ TraceCache::get(const std::string &Name, const std::string &Input,
   }
 
   Stats.Misses.fetch_add(1, std::memory_order_relaxed);
-  // The disk layer's entries are written by the segment pipeline, which
-  // compresses behind the recording; a memory-only cache records without
-  // it.
-  const uint64_t SegmentBudget = Dir.empty() ? 0 : segmentEventBudget();
   auto Start = std::chrono::steady_clock::now();
   vm::HostTierStats Tier;
-  std::unique_ptr<TracePipeline> Pipe;
-  if (!Dir.empty())
-    Pipe = std::make_unique<TracePipeline>(SegmentBudget,
-                                           Program.numBlocks());
-  auto Recorded = std::make_shared<BlockTrace>(BlockTrace::record(
-      Program, MaxBlocks, &Tier,
-      Pipe ? BlockTrace::SegmentProgressFn(
-                 [&](const BlockTrace &T) { return Pipe->onProgress(T); })
-           : BlockTrace::SegmentProgressFn(),
-      SegmentBudget));
-  auto End = std::chrono::steady_clock::now();
-  Stats.RecordMicros.fetch_add(
-      std::chrono::duration_cast<std::chrono::microseconds>(End - Start)
-          .count(),
-      std::memory_order_relaxed);
+  auto Recorded = std::make_shared<BlockTrace>(
+      BlockTrace::record(Program, MaxBlocks, &Tier));
+  Stats.RecordMicros.fetch_add(microsSince(Start), std::memory_order_relaxed);
   Stats.HostChainedBlocks.fetch_add(Tier.ChainedBlocks,
                                     std::memory_order_relaxed);
   Stats.HostFoldedIters.fetch_add(Tier.RunFoldedIters,
                                   std::memory_order_relaxed);
-  Stats.HostClosedFormIters.fetch_add(Tier.ClosedFormIters,
-                                      std::memory_order_relaxed);
   Stats.HostFallbacks.fetch_add(Tier.Fallbacks, std::memory_order_relaxed);
   Stats.JitUnits.fetch_add(Tier.JitUnits, std::memory_order_relaxed);
   Stats.JitBlocks.fetch_add(Tier.JitBlocks, std::memory_order_relaxed);
@@ -196,15 +188,16 @@ TraceCache::get(const std::string &Name, const std::string &Input,
   Stats.JitCompileMicros.fetch_add(Tier.JitCompileMicros,
                                    std::memory_order_relaxed);
   Recorded->setName(Name + "." + Input);
-  if (Pipe) {
-    // The pipeline already compressed every segment behind the recording;
-    // finish() drains the tail and assembles the v3 container.
-    TracePipeline::Result R = Pipe->finish(*Recorded);
-    Stats.SegmentsPiped.fetch_add(R.Segments, std::memory_order_relaxed);
-    Stats.PipelineMicros.fetch_add(R.WorkMicros, std::memory_order_relaxed);
-    Stats.FlushMicros.fetch_add(R.FlushMicros, std::memory_order_relaxed);
+  if (!Dir.empty()) {
+    const uint64_t Budget = segmentEventBudget();
+    Start = std::chrono::steady_clock::now();
+    const std::string Bytes = Recorded->serialize(Budget);
+    Stats.FlushMicros.fetch_add(microsSince(Start), std::memory_order_relaxed);
+    Stats.SegmentsPiped.fetch_add((Recorded->numEvents() + Budget - 1) /
+                                      Budget,
+                                  std::memory_order_relaxed);
     if (ensureDirectory(Dir))
-      writeTextFileAtomic(Path, R.FileBytes);
+      writeTextFileAtomic(Path, Bytes);
     removeStaleSidecar(Path);
     enforceBudget();
   }

@@ -12,8 +12,8 @@
 ///    same input within one process share a single recording without the
 ///    cache pinning traces past their last user, and
 ///  - an on-disk layer of TPDT v3 segmented traces (see
-///    docs/CACHE_FORMAT.md), written by the streamed record pipeline
-///    (core/TracePipeline.h) and keyed by the *execution* fingerprint — the
+///    docs/CACHE_FORMAT.md), written by BlockTrace::serialize once a miss
+///    has finished recording, and keyed by the *execution* fingerprint — the
 ///    workload spec, scale, and event budget; everything that shapes the
 ///    event stream and nothing that doesn't — so policy-only configuration
 ///    changes replay a warm trace instead of re-interpreting.
@@ -98,23 +98,24 @@ public:
     /// wall clock is accumulated in IndexMicros.
     std::atomic<uint64_t> IndexBuilds{0};
     std::atomic<uint64_t> IndexMicros{0};
-    /// Segments the streamed pipeline (core/TracePipeline.h) handed
-    /// through its ring; every miss of a disk-backed cache records
-    /// through it.
+    /// Segments written to disk entries: every miss of a disk-backed
+    /// cache serializes its recording with the TPDBT_SEGMENT_EVENTS
+    /// budget after recording ends.
     std::atomic<uint64_t> SegmentsPiped{0};
-    /// Consumer wall clock overlapped with recording (segment encode +
-    /// compress), vs. the non-overlapped tail: drain and container
-    /// assembly after recording ends.
+    /// Always 0: segments were once encoded on a thread overlapped with
+    /// recording and no longer are. The field stays because
+    /// perfbench/perfbench.cpp reads it.
     std::atomic<uint64_t> PipelineMicros{0};
+    /// Wall clock of the post-record serialize (segment encode, compress
+    /// and container assembly).
     std::atomic<uint64_t> FlushMicros{0};
     /// Host translation tier coverage of the recordings behind the
     /// misses (see vm/HostTier.h): block events delivered from
     /// superblock chains, self-loop iterations folded into run-length
-    /// trace entries (the closed-form subset was never executed at all),
-    /// and superblock guard mismatches that fell back to plain dispatch.
+    /// trace entries, and superblock guard mismatches that fell back to
+    /// plain dispatch.
     std::atomic<uint64_t> HostChainedBlocks{0};
     std::atomic<uint64_t> HostFoldedIters{0};
-    std::atomic<uint64_t> HostClosedFormIters{0};
     std::atomic<uint64_t> HostFallbacks{0};
     /// Jit tier coverage (see src/jit): units compiled to native code,
     /// chain block events and self-loop iterations executed natively,

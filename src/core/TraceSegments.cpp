@@ -5,6 +5,7 @@
 #include "support/Compression.h"
 #include "support/Varint.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 
@@ -82,46 +83,44 @@ constexpr uint8_t SegmentedVersion = 3;
 
 } // namespace
 
-TraceSegmentRecord tpdbt::core::makeSegmentRecord(const TraceEvent *Ev,
-                                                  size_t N,
-                                                  uint64_t &RunInsts,
-                                                  uint64_t &RunTaken) {
-  TraceSegmentRecord Rec;
-  Rec.Events = static_cast<uint32_t>(N);
-  Rec.BaseInsts = RunInsts;
-  Rec.BaseTaken = RunTaken;
-  Rec.Payload = compressBytes(encodeSegmentEvents(Ev, N));
-  for (size_t I = 0; I < N; ++I) {
-    RunInsts += Ev[I].Insts;
-    if (Ev[I].Branch == 2)
-      ++RunTaken;
+std::string BlockTrace::serialize(uint64_t Budget) const {
+  assert(Budget >= 1 && "segment budget must be positive");
+  // Cut the stream into budget-sized segments: each one's payload is
+  // encoded and compressed on its own, and its directory row carries the
+  // global prefix sums at its start.
+  std::string Directory, Payloads;
+  uint64_t NumSegments = 0, RunInsts = 0, RunTaken = 0;
+  for (size_t At = 0; At < Events.size(); ++NumSegments) {
+    const size_t N =
+        static_cast<size_t>(std::min<uint64_t>(Budget, Events.size() - At));
+    const std::string Payload =
+        compressBytes(encodeSegmentEvents(&Events[At], N));
+    putVarint(Directory, N);
+    putVarint(Directory, Payload.size());
+    putVarint(Directory, RunInsts);
+    putVarint(Directory, RunTaken);
+    Payloads += Payload;
+    for (const size_t End = At + N; At < End; ++At) {
+      RunInsts += Events[At].Insts;
+      if (Events[At].Branch == 2)
+        ++RunTaken;
+    }
   }
-  return Rec;
-}
 
-std::string tpdbt::core::assembleSegmentedTrace(
-    size_t NumBlocks, uint64_t NumEvents, uint64_t TotalInsts,
-    uint64_t Budget, const std::vector<profile::BlockCounters> &Final,
-    const std::vector<TraceSegmentRecord> &Segments) {
   std::string Out(Magic, 4);
   Out.push_back(static_cast<char>(SegmentedVersion));
   putVarint(Out, NumBlocks);
-  putVarint(Out, NumEvents);
+  putVarint(Out, Events.size());
   putVarint(Out, TotalInsts);
   putVarint(Out, Budget);
-  putVarint(Out, Segments.size());
+  putVarint(Out, NumSegments);
   for (size_t B = 0; B < NumBlocks; ++B) {
     putVarint(Out, Final[B].Use);
     putVarint(Out, Final[B].Taken);
   }
-  for (const TraceSegmentRecord &S : Segments) {
-    putVarint(Out, S.Events);
-    putVarint(Out, S.Payload.size());
-    putVarint(Out, S.BaseInsts);
-    putVarint(Out, S.BaseTaken);
-  }
-  for (const TraceSegmentRecord &S : Segments)
-    Out += S.Payload;
+  Out.reserve(Out.size() + Directory.size() + Payloads.size());
+  Out += Directory;
+  Out += Payloads;
   return Out;
 }
 

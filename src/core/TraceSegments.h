@@ -12,13 +12,15 @@
 /// (event count, payload size, and the global instruction/taken prefix-sum
 /// bases at each segment start).
 ///
-/// Segment independence is the point of the format: because every
-/// segment's delta encoding restarts from block 0 and its TPDZ frame is
-/// self-contained, a segment can be compressed the moment the recorder
-/// crosses its boundary (core/TracePipeline.h overlaps that work with
-/// recording) and decompressed without touching any earlier segment
-/// (SegmentedTraceReader reads one segment at a time, which is what lets
-/// sampled replay skip the segments its plan does not draw).
+/// Segment independence is the point of the format: every segment's
+/// delta encoding restarts from block 0 and its TPDZ frame is
+/// self-contained, so a segment decompresses without touching any earlier
+/// one (SegmentedTraceReader reads one segment at a time, which is what
+/// lets sampled replay skip the segments its plan does not draw).
+///
+/// The writer is BlockTrace::serialize, defined in TraceSegments.cpp next
+/// to the reader: a cold TraceCache miss records the whole trace, then
+/// serializes it.
 ///
 /// The exact byte layout lives in docs/CACHE_FORMAT.md. Entries in the
 /// older monolithic v1/v2 layouts are not read: the cache counts them as
@@ -39,10 +41,10 @@
 namespace tpdbt {
 namespace core {
 
-/// Floor for the recording pipeline's budget: below this the per-segment
-/// fixed costs (a NumBlocks+1 CSR row per segment, ring handoffs) dwarf
-/// the work. Format readers accept any budget >= 1; only the writer-side
-/// env knob clamps.
+/// Floor for the TPDBT_SEGMENT_EVENTS budget: below this the per-segment
+/// fixed costs (a TPDZ frame header and a directory row per segment, a
+/// delta restart) dwarf the payload. Format readers accept any budget
+/// >= 1; only the writer-side env knob clamps.
 constexpr uint64_t MinSegmentEvents = 256;
 
 /// The TPDBT_SEGMENT_EVENTS knob, read fresh on every call (tests flip
@@ -61,34 +63,6 @@ std::string encodeSegmentEvents(const TraceEvent *Ev, size_t N);
 bool decodeSegmentEvents(const std::string &Raw, uint64_t ExpectEvents,
                          size_t NumBlocks, std::vector<TraceEvent> &Out,
                          std::string *Error);
-
-/// One finished segment, as the pipeline's consumer stage produces it:
-/// the directory row plus the compressed payload.
-struct TraceSegmentRecord {
-  uint32_t Events = 0;
-  /// Global prefix sums over events before this segment.
-  uint64_t BaseInsts = 0;
-  uint64_t BaseTaken = 0;
-  /// TPDZ-compressed encodeSegmentEvents() output.
-  std::string Payload;
-};
-
-/// Encodes and compresses the \p N events at \p Ev into the next segment
-/// of a stream. \p RunInsts / \p RunTaken are the stream's running
-/// prefix sums: they become the record's bases and are advanced past the
-/// segment. BlockTrace::serialize and TracePipeline both cut segments
-/// here.
-TraceSegmentRecord makeSegmentRecord(const TraceEvent *Ev, size_t N,
-                                     uint64_t &RunInsts, uint64_t &RunTaken);
-
-/// Assembles the TPDT v3 container from finished segments (in stream
-/// order). The caller supplies the stream totals and the final counter
-/// table; BlockTrace::serialize and TracePipeline both land here.
-std::string
-assembleSegmentedTrace(size_t NumBlocks, uint64_t NumEvents,
-                       uint64_t TotalInsts, uint64_t Budget,
-                       const std::vector<profile::BlockCounters> &Final,
-                       const std::vector<TraceSegmentRecord> &Segments);
 
 /// A parsed TPDT v3 header: everything before the payload frames. Small
 /// (O(blocks + segments)) — this is all a streaming reader ever holds of

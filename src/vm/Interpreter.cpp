@@ -118,7 +118,9 @@ void Interpreter::classifySelfLoops() {
     }
     SL.FullInsts = First[Id + 1] - First[Id] +
                    (T.Code == TermCode::FusedBr ? 2u : 1u);
-    if (T.Code != TermCode::Jump)
+    // A fused latch writes its compare register on every iteration, so
+    // only a plain branch latch (no side effects) can be skipped.
+    if (T.Code == TermCode::Branch)
       upgradeCountedLoop(static_cast<guest::BlockId>(Id), SL);
     SelfLoops[Id] = SL;
   }
@@ -126,47 +128,29 @@ void Interpreter::classifySelfLoops() {
 
 void Interpreter::upgradeCountedLoop(guest::BlockId Id, SelfLoop &SL) const {
   const DecodedTerm &T = Terms[Id];
-  const bool StayOnTrue = SL.StayBranch == 2;
-  bool StayIsLt, BoundIsImm;
-  if (T.Code == TermCode::Branch) {
-    bool CondIsLt;
-    switch (static_cast<CondKind>(T.Cond)) {
-    case CondKind::Lt:
-      CondIsLt = true;
-      BoundIsImm = false;
-      break;
-    case CondKind::LtI:
-      CondIsLt = true;
-      BoundIsImm = true;
-      break;
-    case CondKind::Ge:
-      CondIsLt = false;
-      BoundIsImm = false;
-      break;
-    case CondKind::GeI:
-      CondIsLt = false;
-      BoundIsImm = true;
-      break;
-    default:
-      return; // equality/unsigned latches have wrapping exit conditions
-    }
-    // Staying on the false edge flips the predicate (!(<) is >=).
-    StayIsLt = CondIsLt == StayOnTrue;
-  } else { // FusedBr
-    switch (static_cast<Opcode>(T.Cond)) {
-    case Opcode::CmpLt:
-      BoundIsImm = false;
-      break;
-    case Opcode::CmpLtI:
-      BoundIsImm = true;
-      break;
-    default:
-      return;
-    }
-    // The branch condition is (V != 0) xor Invert, so on a staying
-    // iteration the compare value is pinned to StayOnTrue xor Invert.
-    StayIsLt = StayOnTrue != static_cast<bool>(T.Invert);
+  bool CondIsLt, BoundIsImm;
+  switch (static_cast<CondKind>(T.Cond)) {
+  case CondKind::Lt:
+    CondIsLt = true;
+    BoundIsImm = false;
+    break;
+  case CondKind::LtI:
+    CondIsLt = true;
+    BoundIsImm = true;
+    break;
+  case CondKind::Ge:
+    CondIsLt = false;
+    BoundIsImm = false;
+    break;
+  case CondKind::GeI:
+    CondIsLt = false;
+    BoundIsImm = true;
+    break;
+  default:
+    return; // equality/unsigned latches have wrapping exit conditions
   }
+  // Staying on the false edge flips the predicate (!(<) is >=).
+  const bool StayIsLt = CondIsLt == (SL.StayBranch == 2);
 
   const uint8_t X = T.Ra;
   if (!BoundIsImm && T.Rb == X)
@@ -178,10 +162,7 @@ void Interpreter::upgradeCountedLoop(guest::BlockId Id, SelfLoop &SL) const {
   const DecodedOp *const End = Ops.data() + First[Id + 1];
   int64_t Step = 0;
   int WritesToX = 0;
-  bool HasMem = false;
   for (const DecodedOp *Op = Begin; Op != End; ++Op) {
-    if (Op->Op == Opcode::Load || Op->Op == Opcode::Store)
-      HasMem = true;
     if (!opcodeWritesRd(Op->Op))
       continue;
     if (Op->Rd == X) {
@@ -206,49 +187,5 @@ void Interpreter::upgradeCountedLoop(guest::BlockId Id, SelfLoop &SL) const {
   SL.BoundIsImm = BoundIsImm;
   SL.BoundReg = T.Rb;
   SL.BoundImm = T.Imm;
-  // A fused latch writes its compare register, so skipping it needs the
-  // full closed-form read discipline; a plain branch latch has no side
-  // effects and qualifies for counted execution as-is.
-  if (T.Code == TermCode::Branch)
-    SL.Kind = SelfLoop::Level::Counted;
-  if (!HasMem && bodyIsClosedForm(Id, X))
-    SL.Kind = SelfLoop::Level::ClosedForm;
+  SL.Kind = SelfLoop::Level::Counted;
 }
-
-bool Interpreter::bodyIsClosedForm(guest::BlockId Id, uint8_t X) const {
-  static_assert(NumRegs <= 32, "register masks below are 32 bits wide");
-  const DecodedTerm &T = Terms[Id];
-  const DecodedOp *Begin = Ops.data() + First[Id];
-  const DecodedOp *const End = Ops.data() + First[Id + 1];
-
-  // Registers written anywhere in one iteration (body plus the fused
-  // compare, whose destination carries across iterations).
-  uint32_t WrittenInBlock = 0;
-  for (const DecodedOp *Op = Begin; Op != End; ++Op)
-    if (opcodeWritesRd(Op->Op))
-      WrittenInBlock |= 1u << Op->Rd;
-  if (T.Code == TermCode::FusedBr)
-    WrittenInBlock |= 1u << T.Rd;
-
-  // Every read must see a value that is a function of the induction
-  // register alone: written earlier in the same iteration, X itself, or
-  // a register the loop never writes. Then a staying iteration's only
-  // durable effect is stepping X, and folding K of them leaves exactly
-  // the state plain execution reaches (the next real execution rewrites
-  // every written register before reading it).
-  uint32_t WrittenSoFar = 0;
-  auto ReadOk = [&](uint8_t R) {
-    return R == X || (WrittenSoFar & (1u << R)) ||
-           !(WrittenInBlock & (1u << R));
-  };
-  for (const DecodedOp *Op = Begin; Op != End; ++Op) {
-    if (opcodeReadsRa(Op->Op) && !ReadOk(Op->Ra))
-      return false;
-    if (opcodeReadsRb(Op->Op) && !ReadOk(Op->Rb))
-      return false;
-    if (opcodeWritesRd(Op->Op))
-      WrittenSoFar |= 1u << Op->Rd;
-  }
-  return true;
-}
-

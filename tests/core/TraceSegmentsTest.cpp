@@ -267,13 +267,16 @@ TEST(TraceSegmentsTest, LegacyVersion1And2EntriesAreMisses) {
   std::filesystem::remove_all(Dir);
 }
 
-TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
-  const std::string Dir = tempDir("stream_differential");
+// A cold miss records, then writes serialize() at the knob's budget: the
+// entry is byte-identical to a direct recording's serialization and cut
+// into many segments.
+TEST(TraceSegmentsTest, CacheMissWritesSerializedTrace) {
+  const std::string Dir = tempDir("miss_write");
   std::filesystem::remove_all(Dir);
   auto B = smallBench("mcf");
   const uint64_t MaxBlocks = 20000;
 
-  // Reference: a direct in-process recording (no pipeline involved).
+  // Reference: a direct in-process recording (no cache involved).
   BlockTrace Direct = BlockTrace::record(B.Ref, MaxBlocks);
 
   testsupport::ScopedEnv Budget("TPDBT_SEGMENT_EVENTS", "300");
@@ -282,8 +285,8 @@ TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
     auto T = Cache.get("mcf", "ref", 0x77, B.Ref, MaxBlocks);
     ASSERT_NE(T, nullptr);
     EXPECT_GT(Cache.stats().SegmentsPiped.load(), 1u);
-    expectSameEvents(Direct, *T, "streamed record");
-    // The pipeline only compresses; replay builds the index on demand.
+    expectSameEvents(Direct, *T, "cache-miss record");
+    // The miss only serializes; replay builds the index on demand.
     EXPECT_EQ(T->sharedIndex(), nullptr);
 
     // The disk entry is byte-identical to the reference segmented
@@ -297,7 +300,7 @@ TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
     const std::vector<uint64_t> Thresholds = {50, 500, 5000};
     expectSameSweep(replaySweep(*T, B.Ref, Thresholds, Opts),
                     replaySweepEvents(Direct, B.Ref, Thresholds, Opts),
-                    Thresholds.size(), "streamed analytic");
+                    Thresholds.size(), "cache-miss analytic");
   }
   {
     // A fresh cache hits the disk entry; no index is stored or loaded.

@@ -37,7 +37,7 @@ Program makeHalfFlip() {
 
 TEST(WindowedProfileTest, WindowsSumToFullProfile) {
   Program P = makeHalfFlip();
-  WindowedProfile WP = collectWindowedProfile(P, 4);
+  WindowedProfile WP = collectWindowedProfile(P, 4, BlockTrace::record(P));
   EXPECT_EQ(WP.numWindows(), 4u);
 
   dbt::DbtOptions Opts;
@@ -81,42 +81,50 @@ TEST(WindowedProfileTest, CapturesTemporalShift) {
   PB.halt();
   Program P = PB.build();
 
-  WindowedProfile WP = collectWindowedProfile(P, 8);
+  WindowedProfile WP = collectWindowedProfile(P, 8, BlockTrace::record(P));
   EXPECT_GT(WP.takenProb(0, Head), 0.9);
   EXPECT_LT(WP.takenProb(7, Head), 0.1);
 }
 
 TEST(WindowedProfileTest, SingleWindowEqualsWholeRun) {
   Program P = makeHalfFlip();
-  WindowedProfile WP = collectWindowedProfile(P, 1);
+  WindowedProfile WP = collectWindowedProfile(P, 1, BlockTrace::record(P));
   EXPECT_EQ(WP.numWindows(), 1u);
   EXPECT_GT(WP.Windows[0][1].Use, 9000u);
 }
 
 TEST(WindowedProfileTest, RespectsMaxBlocks) {
   Program P = makeHalfFlip();
-  WindowedProfile WP = collectWindowedProfile(P, 2, /*MaxBlocks=*/100);
+  WindowedProfile WP =
+      collectWindowedProfile(P, 2, BlockTrace::record(P, /*MaxBlocks=*/100));
   EXPECT_EQ(WP.TotalBlockEvents, 100u);
 }
 
-// The trace-derived overload must reproduce the execute-twice windows
-// exactly — same sizing rule, same fill — for any window count,
-// including ones that do not divide the event count.
-TEST(WindowedProfileTest, TraceDerivedWindowsMatchExecuteTwice) {
+// Windows cut the run into equal event counts L = events / n + 1,
+// including window counts that do not divide the event count: the
+// counters of windows [0, w] equal a recording truncated after
+// (w + 1) * L events.
+TEST(WindowedProfileTest, WindowPrefixesMatchTruncatedRuns) {
   Program P = makeHalfFlip();
   BlockTrace Trace = BlockTrace::record(P);
   for (size_t NumWindows : {1u, 3u, 7u, 16u}) {
-    WindowedProfile Exec = collectWindowedProfile(P, NumWindows);
-    WindowedProfile FromTrace = collectWindowedProfile(P, NumWindows, Trace);
-    ASSERT_EQ(FromTrace.numWindows(), Exec.numWindows()) << NumWindows;
-    EXPECT_EQ(FromTrace.TotalBlockEvents, Exec.TotalBlockEvents);
-    for (size_t W = 0; W < Exec.numWindows(); ++W)
+    WindowedProfile WP = collectWindowedProfile(P, NumWindows, Trace);
+    ASSERT_EQ(WP.numWindows(), NumWindows);
+    const uint64_t WindowLen = Trace.numEvents() / NumWindows + 1;
+    std::vector<profile::BlockCounters> Prefix(P.numBlocks());
+    for (size_t W = 0; W < NumWindows; ++W) {
       for (BlockId B = 0; B < P.numBlocks(); ++B) {
-        EXPECT_EQ(FromTrace.Windows[W][B].Use, Exec.Windows[W][B].Use)
+        Prefix[B].Use += WP.Windows[W][B].Use;
+        Prefix[B].Taken += WP.Windows[W][B].Taken;
+      }
+      const BlockTrace Cut = BlockTrace::record(P, (W + 1) * WindowLen);
+      for (BlockId B = 0; B < P.numBlocks(); ++B) {
+        EXPECT_EQ(Prefix[B].Use, Cut.finalCounts()[B].Use)
             << "window " << W << " block " << B << " n=" << NumWindows;
-        EXPECT_EQ(FromTrace.Windows[W][B].Taken, Exec.Windows[W][B].Taken)
+        EXPECT_EQ(Prefix[B].Taken, Cut.finalCounts()[B].Taken)
             << "window " << W << " block " << B << " n=" << NumWindows;
       }
+    }
   }
 }
 
@@ -131,20 +139,15 @@ TEST(WindowedProfileTest, TinyTraceFewerEventsThanWindows) {
   PB.halt();
   Program P = PB.build();
 
-  WindowedProfile Exec = collectWindowedProfile(P, 8);
-  EXPECT_EQ(Exec.numWindows(), 8u);
-  EXPECT_EQ(Exec.TotalBlockEvents, 1u);
-
-  BlockTrace Trace = BlockTrace::record(P);
-  WindowedProfile FromTrace = collectWindowedProfile(P, 8, Trace);
-  EXPECT_EQ(FromTrace.TotalBlockEvents, 1u);
+  WindowedProfile WP = collectWindowedProfile(P, 8, BlockTrace::record(P));
+  EXPECT_EQ(WP.numWindows(), 8u);
+  EXPECT_EQ(WP.TotalBlockEvents, 1u);
   uint64_t Use = 0;
-  for (const auto &W : FromTrace.Windows)
+  for (const auto &W : WP.Windows)
     Use += W[Entry].Use;
   EXPECT_EQ(Use, 1u);
-  // The single event lands in the first window under the shared sizing
-  // rule.
-  EXPECT_EQ(FromTrace.Windows[0][Entry].Use, Exec.Windows[0][Entry].Use);
+  // The single event lands in the first window.
+  EXPECT_EQ(WP.Windows[0][Entry].Use, 1u);
 }
 
 // An empty trace (no events recorded) produces sized-but-empty windows.
