@@ -125,13 +125,12 @@ inline const AblationWorkload &ablationWorkload(const std::string &Name) {
 }
 
 /// One-line trace-cache report for the ablation banners, e.g.
-/// "traces: 6 hit / 0 miss (0 corrupt), 0.0s recording, index 0 hit / 6
-/// build" (index hits are always 0 now that indexes are never stored).
+/// "traces: 6 hit / 0 miss (0 corrupt), 0.0s recording, index 6 build".
 inline std::string ablationStatsLine() {
   const core::TraceCache::Counters &S = detail::ablationRegistry().Cache.stats();
   return formatString(
       "traces: %llu hit / %llu miss (%llu corrupt), %.1fs recording, "
-      "index %llu hit / %llu build",
+      "index %llu build",
       static_cast<unsigned long long>(S.hits()),
       static_cast<unsigned long long>(
           S.Misses.load(std::memory_order_relaxed)),
@@ -139,8 +138,6 @@ inline std::string ablationStatsLine() {
           S.CorruptEntries.load(std::memory_order_relaxed)),
       static_cast<double>(S.RecordMicros.load(std::memory_order_relaxed)) /
           1e6,
-      static_cast<unsigned long long>(
-          S.IndexHits.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           S.IndexBuilds.load(std::memory_order_relaxed)));
 }

@@ -17,9 +17,9 @@
 
 #include "analysis/Metrics.h"
 #include "core/Runner.h"
+#include "dbt/DbtEngine.h"
 #include "support/Format.h"
 #include "support/Table.h"
-#include "vm/Interpreter.h"
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
 
@@ -44,35 +44,15 @@ RunResult runOne(const workloads::GeneratedBenchmark &B,
   dbt::DbtOptions Opts;
   Opts.Threshold = 2000;
   Opts.Adaptive.Enabled = Adaptive;
-  dbt::TranslationPolicy Policy(B.Ref, G, Opts);
-
-  std::vector<profile::BlockCounters> Shared(B.Ref.numBlocks());
-  vm::Interpreter Interp(B.Ref);
-  vm::Machine M;
-  M.reset(B.Ref);
-  guest::BlockId Cur = B.Ref.Entry;
-  uint64_t Blocks = 0, Insts = 0;
-  while (true) {
-    vm::BlockResult R = Interp.executeBlock(Cur, M);
-    ++Blocks;
-    Insts += R.InstsExecuted;
-    auto &C = Shared[Cur];
-    ++C.Use;
-    if (R.IsCondBranch && R.Taken)
-      ++C.Taken;
-    Policy.onBlockEvent(Cur, R, Shared);
-    if (R.Reason != vm::StopReason::Running)
-      break;
-    Cur = R.Next;
-  }
-  profile::ProfileSnapshot Snap = Policy.finish(Shared, Blocks, Insts);
+  dbt::DbtEngine Engine(B.Ref, Opts);
+  profile::ProfileSnapshot Snap = Engine.run(~0ull);
 
   RunResult Out;
   Out.SdBp = analysis::sdBranchProb(Snap, Avep, G);
   Out.LpMismatch = analysis::lpMismatchRate(Snap, Avep, G);
   Out.Cycles = Snap.Cycles;
-  Out.SideExits = Policy.cost().SideExits;
-  Out.Retranslations = Policy.retranslations();
+  Out.SideExits = Engine.cost().SideExits;
+  Out.Retranslations = Engine.retranslations();
   return Out;
 }
 

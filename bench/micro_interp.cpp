@@ -195,9 +195,10 @@ void BM_ReplaySweep(benchmark::State &State) {
 BENCHMARK(BM_ReplaySweep)->Arg(1)->Arg(4)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
-/// The retired event-pump replay (now the adaptive-mode path and the
-/// differential oracle): every trace event through every policy. The gap
-/// to BM_ReplaySweep is the analytic index's speedup.
+/// The plain event-pump replay (the adaptive-mode path and the reference
+/// the analytic replay is checked against): every trace event through
+/// every policy, as DbtEngine::run does live. The gap to BM_ReplaySweep is
+/// the analytic index's speedup.
 void BM_ReplaySweepEventPump(benchmark::State &State) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));

@@ -245,8 +245,11 @@ void ExperimentContext::ensureProfiles(const std::string &Name,
                          const std::vector<uint64_t> &Thresholds) {
     // The analytic path builds the trace's index on first use; when the
     // trace has none yet, force that build here under the index timer so
-    // ReplayMicros measures replay alone, not index construction.
-    if (!Config.Dbt.Adaptive.Enabled && !Trace.sharedIndex()) {
+    // ReplayMicros measures replay alone, not index construction. A
+    // threshold-free sweep (the training input's INIP(train)) is closed
+    // form and needs no index.
+    if (!Config.Dbt.Adaptive.Enabled && !Thresholds.empty() &&
+        !Trace.sharedIndex()) {
       auto I0 = std::chrono::steady_clock::now();
       Trace.index();
       auto I1 = std::chrono::steady_clock::now();
@@ -367,14 +370,14 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
     SegmentedTraceReader Reader;
     if (Traces->openSegmented(Name, "train", ExecFp, Reader, nullptr)) {
       const SegmentedTraceHeader &H = Reader.header();
-      D.Train = sample::profilingAverage(B.Train, TrainGraph, Config.Dbt,
-                                         H.Final, H.NumEvents,
-                                         H.takenEvents(), H.TotalInsts);
+      D.Train = dbt::TranslationPolicy::profilingOnly(
+          B.Train, TrainGraph, Config.Dbt, H.Final, H.NumEvents,
+          H.takenEvents(), H.TotalInsts);
       Traces->noteSampleReplay(0, Reader.numSegments());
     } else {
       std::shared_ptr<const BlockTrace> Trace =
           Traces->get(Name, "train", ExecFp, B.Train, MaxBlocks);
-      D.Train = sample::profilingAverage(
+      D.Train = dbt::TranslationPolicy::profilingOnly(
           B.Train, TrainGraph, Config.Dbt, Trace->finalCounts(),
           Trace->numEvents(), Trace->takenEvents(), Trace->totalInsts());
     }
@@ -467,7 +470,7 @@ std::string ExperimentContext::statsSummary() const {
   std::string Out = formatString(
       "jobs=%u prof %llu hit / %llu miss (%llu corrupt), trace %llu hit / "
       "%llu miss (%llu corrupt), %llu sweeps, %.1fs recording, "
-      "%.1fs replaying, index %llu hit / %llu build (%.1fs), "
+      "%.1fs replaying, index %llu build (%.1fs), "
       "host %llu chained / %llu folded / %llu fallback, "
       "jit %llu units / %llu blk / %llu iter / %llu deopt / %llu flush "
       "(%.2fs compile), "
@@ -493,8 +496,6 @@ std::string ExperimentContext::statsSummary() const {
       static_cast<double>(
           Stats.ReplayMicros.load(std::memory_order_relaxed)) /
           1e6,
-      static_cast<unsigned long long>(
-          TC.IndexHits.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           TC.IndexBuilds.load(std::memory_order_relaxed)),
       static_cast<double>(

@@ -217,8 +217,7 @@ public:
 
   /// One-line human-readable rendering of stats() for the bench banners,
   /// e.g. "jobs=8 prof 20 hit / 6 miss (0 corrupt), trace 4 hit / 2 miss,
-  /// 12 sweeps, 2.0s recording, 1.1s replaying, index 4 hit / 2 build
-  /// (0.1s)".
+  /// 12 sweeps, 2.0s recording, 1.1s replaying, index 2 build (0.1s)".
   std::string statsSummary() const;
 
 private:

@@ -5,10 +5,22 @@
 #include "core/Trace.h"
 
 #include <cassert>
+#include <map>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
 using namespace tpdbt::guest;
+
+ThresholdSlots::ThresholdSlots(const std::vector<uint64_t> &Thresholds) {
+  std::map<uint64_t, size_t> Seen;
+  SlotOf.reserve(Thresholds.size());
+  for (uint64_t T : Thresholds) {
+    auto [It, New] = Seen.emplace(T, Unique.size());
+    if (New)
+      Unique.push_back(T);
+    SlotOf.push_back(It->second);
+  }
+}
 
 SweepResult tpdbt::core::runSweep(const Program &P,
                                   const std::vector<uint64_t> &Thresholds,

@@ -38,6 +38,29 @@ struct SweepResult {
   profile::ProfileSnapshot Average;
 };
 
+/// Duplicate thresholds share one evaluation: Unique holds the distinct
+/// values of a request in first-occurrence order (so without duplicates it
+/// is the request itself) and SlotOf maps each request position to its
+/// value's slot in Unique.
+struct ThresholdSlots {
+  explicit ThresholdSlots(const std::vector<uint64_t> &Thresholds);
+
+  std::vector<uint64_t> Unique;
+  std::vector<size_t> SlotOf;
+
+  /// Expands per-slot results (one per Unique value) back to request
+  /// order.
+  template <typename T> std::vector<T> expand(std::vector<T> PerSlot) const {
+    if (Unique.size() == SlotOf.size())
+      return PerSlot; // no duplicates: SlotOf is the identity
+    std::vector<T> Out;
+    Out.reserve(SlotOf.size());
+    for (size_t Slot : SlotOf)
+      Out.push_back(PerSlot[Slot]);
+    return Out;
+  }
+};
+
 /// Runs \p P to completion (or \p MaxBlocks events) once and returns the
 /// INIP snapshot for every threshold in \p Thresholds plus the
 /// profiling-only snapshot. \p Base supplies pool/formation/cost settings;

@@ -108,13 +108,8 @@ bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
                                     static_cast<size_t>(Ent.PayloadBytes)),
                        Buf, Error))
       return false;
-    const uint64_t Insts = T.totalInsts(), Taken = T.takenEvents();
     for (const TraceEvent &E : Buf)
       T.append(E);
-    const SegmentedTraceHeader::Span Want = H.segmentSpan(I);
-    if (T.totalInsts() - Insts != Want.Insts ||
-        T.takenEvents() - Taken != Want.Taken)
-      return Fail("segment events disagree with directory bases");
   }
   // An empty trace has no segment to tie its totals down; the per-block
   // table is checked against the whole stream.
@@ -337,15 +332,18 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
   }
 }
 
-/// Evaluates one non-adaptive policy analytically: reconstructs the
-/// freeze timeline from occurrence positions, accounts the profiling
-/// phase in closed form, and walks only the optimized sub-stream.
+/// Evaluates one non-adaptive policy with a positive threshold
+/// analytically: reconstructs the freeze timeline from occurrence
+/// positions, accounts the profiling phase in closed form, and walks only
+/// the optimized sub-stream.
 profile::ProfileSnapshot evaluateIndexed(const BlockTrace &Trace,
                                          const TraceIndex &Idx,
                                          const Program &P, const cfg::Cfg &G,
                                          const dbt::DbtOptions &Opts) {
   assert(!Opts.Adaptive.Enabled &&
          "analytic evaluation requires a static freeze timeline");
+  assert(Opts.Threshold > 0 &&
+         "threshold 0 is TranslationPolicy::profilingOnly, not indexed");
   dbt::TranslationPolicy Policy(P, G, Opts);
   const size_t N = P.numBlocks();
   const uint32_t E = static_cast<uint32_t>(Trace.numEvents());
@@ -355,55 +353,53 @@ profile::ProfileSnapshot evaluateIndexed(const BlockTrace &Trace,
   std::vector<uint32_t> FreezePos(N, NoFreeze);
   std::vector<BlockId> FrozenOrder;
 
-  if (T > 0) {
-    // Threshold-crossing timeline: policy state only changes when some
-    // block reaches its T-th occurrence (pool registration, possibly
-    // firing the pool-size trigger) or its 2T-th (the registered-twice
-    // trigger). All crossing positions are distinct events, so sorting
-    // them reproduces the pump's processing order exactly.
-    struct Crossing {
-      uint32_t Pos;
-      BlockId Block;
-      bool Registration; ///< T-th occurrence; false = 2T-th
-    };
-    std::vector<Crossing> Timeline;
-    for (size_t B = 0; B < N; ++B) {
-      const uint64_t Use = Final[B].Use;
-      if (Use < T)
-        continue;
-      const auto Id = static_cast<BlockId>(B);
+  // Threshold-crossing timeline: policy state only changes when some
+  // block reaches its T-th occurrence (pool registration, possibly
+  // firing the pool-size trigger) or its 2T-th (the registered-twice
+  // trigger). All crossing positions are distinct events, so sorting
+  // them reproduces the pump's processing order exactly.
+  struct Crossing {
+    uint32_t Pos;
+    BlockId Block;
+    bool Registration; ///< T-th occurrence; false = 2T-th
+  };
+  std::vector<Crossing> Timeline;
+  for (size_t B = 0; B < N; ++B) {
+    const uint64_t Use = Final[B].Use;
+    if (Use < T)
+      continue;
+    const auto Id = static_cast<BlockId>(B);
+    Timeline.push_back(
+        {Idx.position(Id, static_cast<uint32_t>(T - 1)), Id, true});
+    if (Use >= 2 * T)
       Timeline.push_back(
-          {Idx.position(Id, static_cast<uint32_t>(T - 1)), Id, true});
-      if (Use >= 2 * T)
-        Timeline.push_back(
-            {Idx.position(Id, static_cast<uint32_t>(2 * T - 1)), Id, false});
-    }
-    std::sort(Timeline.begin(), Timeline.end(),
-              [](const Crossing &A, const Crossing &B) {
-                return A.Pos < B.Pos;
-              });
+          {Idx.position(Id, static_cast<uint32_t>(2 * T - 1)), Id, false});
+  }
+  std::sort(Timeline.begin(), Timeline.end(),
+            [](const Crossing &A, const Crossing &B) {
+              return A.Pos < B.Pos;
+            });
 
-    std::vector<profile::BlockCounters> SharedAt(N);
-    auto fireTrigger = [&](uint32_t Pos) {
-      // Materialize every block's shared counters as of this event
-      // (inclusive) — exactly the Shared vector the pump would pass.
-      for (size_t B = 0; B < N; ++B)
-        SharedAt[B] = Idx.countersThrough(static_cast<BlockId>(B), Pos);
-      Policy.analyticTrigger(SharedAt);
-      for (BlockId F : Policy.lastFrozen()) {
-        FreezePos[F] = Pos;
-        FrozenOrder.push_back(F);
-      }
-    };
-    for (const Crossing &X : Timeline) {
-      if (Policy.isFrozen(X.Block))
-        continue; // froze at an earlier crossing: no further triggers
-      if (X.Registration) {
-        if (Policy.analyticRegister(X.Block))
-          fireTrigger(X.Pos); // pool reached PoolLimit
-      } else if (Policy.isInPool(X.Block)) {
-        fireTrigger(X.Pos); // registered twice while still unoptimized
-      }
+  std::vector<profile::BlockCounters> SharedAt(N);
+  auto fireTrigger = [&](uint32_t Pos) {
+    // Materialize every block's shared counters as of this event
+    // (inclusive) — exactly the Shared vector the pump would pass.
+    for (size_t B = 0; B < N; ++B)
+      SharedAt[B] = Idx.countersThrough(static_cast<BlockId>(B), Pos);
+    Policy.analyticTrigger(SharedAt);
+    for (BlockId F : Policy.lastFrozen()) {
+      FreezePos[F] = Pos;
+      FrozenOrder.push_back(F);
+    }
+  };
+  for (const Crossing &X : Timeline) {
+    if (Policy.isFrozen(X.Block))
+      continue; // froze at an earlier crossing: no further triggers
+    if (X.Registration) {
+      if (Policy.analyticRegister(X.Block))
+        fireTrigger(X.Pos); // pool reached PoolLimit
+    } else if (Policy.isInPool(X.Block)) {
+      fireTrigger(X.Pos); // registered twice while still unoptimized
     }
   }
 
@@ -446,80 +442,27 @@ SweepResult tpdbt::core::replaySweepEvents(
     Policies.push_back(
         std::make_unique<dbt::TranslationPolicy>(P, G, Opts));
   }
-  dbt::DbtOptions AvgOpts = Base;
-  AvgOpts.Threshold = 0;
-  dbt::TranslationPolicy AvgPolicy(P, G, AvgOpts);
 
-  // The trace is fixed, so its end-of-run shared counters arm per-policy
-  // settlement detection and serve directly as the final counters for
-  // finish().
-  for (auto &Policy : Policies)
-    Policy->beginOracle(Final);
-  AvgPolicy.beginOracle(Final);
-
-  std::vector<dbt::TranslationPolicy *> Active;
-  for (auto &Policy : Policies)
-    Active.push_back(Policy.get());
-  Active.push_back(&AvgPolicy);
-
-  // A settled policy's remaining events no longer change translation
-  // state. With nothing frozen every tail event is plain profiling and
-  // folds into one closed-form update; otherwise the tail runs through the
-  // cheap settled path right away. Next is the first event the policy has
-  // not seen.
-  uint64_t PrefixInsts = 0, PrefixTaken = 0;
-  size_t Next = 0;
-  auto retire = [&](dbt::TranslationPolicy *Policy) {
-    if (!Policy->anyFrozen()) {
-      Policy->fastForwardTail(NumEvents - Next,
-                              Trace.takenEvents() - PrefixTaken,
-                              Trace.totalInsts() - PrefixInsts);
-      return;
-    }
-    for (size_t I = Next; I < NumEvents; ++I)
-      Policy->onBlockEventSettled(Trace.event(I).Block,
-                                  resultOf(Trace.event(I)));
-  };
-
-  // Policies with no reachable trigger at all (profiling-only, or every
-  // final count below threshold) settle before the first event.
-  for (size_t I = 0; I < Active.size();) {
-    if (Active[I]->settled()) {
-      retire(Active[I]);
-      Active.erase(Active.begin() + I);
-    } else {
-      ++I;
-    }
-  }
-
+  // The live engine's loop (DbtEngine::run), one policy per threshold:
+  // each event bumps the shared counters, then goes to every policy.
   std::vector<profile::BlockCounters> Shared(P.numBlocks());
-  while (Next < NumEvents && !Active.empty()) {
-    const TraceEvent &E = Trace.event(Next++);
+  for (size_t I = 0; I < NumEvents; ++I) {
+    const TraceEvent &E = Trace.event(I);
     const vm::BlockResult R = resultOf(E);
     profile::BlockCounters &Cnt = Shared[E.Block];
     ++Cnt.Use;
-    PrefixInsts += E.Insts;
-    if (E.Branch == 2) {
+    if (E.Branch == 2)
       ++Cnt.Taken;
-      ++PrefixTaken;
-    }
-
-    for (size_t PI = 0; PI < Active.size();) {
-      Active[PI]->onBlockEvent(E.Block, R, Shared);
-      if (Active[PI]->settled()) {
-        retire(Active[PI]);
-        Active.erase(Active.begin() + PI);
-      } else {
-        ++PI;
-      }
-    }
+    for (auto &Policy : Policies)
+      Policy->onBlockEvent(E.Block, R, Shared);
   }
 
   SweepResult Out;
   for (auto &Policy : Policies)
     Out.PerThreshold.push_back(
         Policy->finish(Final, NumEvents, Trace.totalInsts()));
-  Out.Average = AvgPolicy.finish(Final, NumEvents, Trace.totalInsts());
+  Out.Average = dbt::TranslationPolicy::profilingOnly(
+      P, G, Base, Final, NumEvents, Trace.takenEvents(), Trace.totalInsts());
   return Out;
 }
 
@@ -530,48 +473,32 @@ SweepResult tpdbt::core::replaySweep(const BlockTrace &Trace,
                                      unsigned Jobs) {
   assert(Trace.numBlocks() == P.numBlocks() &&
          "trace does not match the program");
-  // Duplicate thresholds share one evaluation; Unique preserves
-  // first-occurrence order, so without duplicates SlotOf is the identity.
-  std::vector<uint64_t> Unique;
-  std::vector<size_t> SlotOf(Thresholds.size());
-  for (size_t I = 0; I < Thresholds.size(); ++I) {
-    size_t J = 0;
-    while (J < Unique.size() && Unique[J] != Thresholds[I])
-      ++J;
-    if (J == Unique.size())
-      Unique.push_back(Thresholds[I]);
-    SlotOf[I] = J;
-  }
-
-  SweepResult Shared;
+  const ThresholdSlots Slots(Thresholds);
   if (Base.Adaptive.Enabled) {
     // Adaptive re-optimization thaws frozen blocks, so no static freeze
     // timeline exists: pump the events.
-    Shared = replaySweepEvents(Trace, P, Unique, Base);
-  } else {
-    const TraceIndex &Idx = Trace.index();
-    cfg::Cfg G(P);
-    Shared.PerThreshold.resize(Unique.size());
-    // Per-threshold snapshots are independent units; dispatch them on the
-    // worker pool alongside the per-benchmark parallelism. Results are
-    // stored by index, so they are identical at any job count.
-    parallelFor(Unique.size() + 1, Jobs, [&](size_t I) {
-      dbt::DbtOptions Opts = Base;
-      Opts.Threshold = I < Unique.size() ? Unique[I] : 0;
-      profile::ProfileSnapshot S = evaluateIndexed(Trace, Idx, P, G, Opts);
-      if (I < Unique.size())
-        Shared.PerThreshold[I] = std::move(S);
-      else
-        Shared.Average = std::move(S);
-    });
+    SweepResult Out = replaySweepEvents(Trace, P, Slots.Unique, Base);
+    Out.PerThreshold = Slots.expand(std::move(Out.PerThreshold));
+    return Out;
   }
 
-  if (Unique.size() == Thresholds.size())
-    return Shared;
+  cfg::Cfg G(P);
   SweepResult Out;
-  Out.Average = std::move(Shared.Average);
-  Out.PerThreshold.reserve(Thresholds.size());
-  for (size_t I = 0; I < Thresholds.size(); ++I)
-    Out.PerThreshold.push_back(Shared.PerThreshold[SlotOf[I]]);
+  Out.Average = dbt::TranslationPolicy::profilingOnly(
+      P, G, Base, Trace.finalCounts(), Trace.numEvents(), Trace.takenEvents(),
+      Trace.totalInsts());
+  if (Slots.Unique.empty())
+    return Out; // threshold-free: no index needed
+  const TraceIndex &Idx = Trace.index();
+  std::vector<profile::ProfileSnapshot> PerSlot(Slots.Unique.size());
+  // Per-threshold snapshots are independent units; dispatch them on the
+  // worker pool alongside the per-benchmark parallelism. Results are
+  // stored by index, so they are identical at any job count.
+  parallelFor(PerSlot.size(), Jobs, [&](size_t I) {
+    dbt::DbtOptions Opts = Base;
+    Opts.Threshold = Slots.Unique[I];
+    PerSlot[I] = evaluateIndexed(Trace, Idx, P, G, Opts);
+  });
+  Out.PerThreshold = Slots.expand(std::move(PerSlot));
   return Out;
 }

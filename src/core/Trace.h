@@ -16,9 +16,9 @@
 ///
 /// Serialized traces use the segmented TPDT v3 container
 /// (core/TraceSegments.h, docs/CACHE_FORMAT.md): the final per-block
-/// use/taken counters (they arm policy retirement and the analytic index
-/// without an O(events) pre-pass) and a segment directory, then one
-/// TPDZ-compressed delta-varint payload per segment.
+/// use/taken counters (they give the profiling-only snapshot and the
+/// analytic index without an O(events) pre-pass) and a segment directory,
+/// then one TPDZ-compressed delta-varint payload per segment.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,13 +86,14 @@ public:
   size_t numBlocks() const { return NumBlocks; }
   const TraceEvent &event(size_t I) const { return Events[I]; }
   uint64_t totalInsts() const { return TotalInsts; }
-  /// Number of events that are taken conditional branches (supports the
-  /// closed-form policy fast-forward in replaySweep).
+  /// Number of events that are taken conditional branches (an input of
+  /// the closed-form profiling-only snapshot,
+  /// dbt::TranslationPolicy::profilingOnly).
   uint64_t takenEvents() const { return TakenEvents; }
 
   /// Final per-block use/taken counters, maintained incrementally by
   /// append(). These are the end-of-run shared counters every replay needs
-  /// up front (oracle arming, snapshot finals, index row sizes).
+  /// up front (snapshot finals, index row sizes).
   const std::vector<profile::BlockCounters> &finalCounts() const {
     return Final;
   }
@@ -225,8 +226,13 @@ private:
 };
 
 /// Derives the snapshot for one policy per threshold (plus the
-/// profiling-only policy) from a recorded trace, byte-identical to a live
-/// DbtEngine run of the same execution per threshold.
+/// profiling-only snapshot) from a recorded trace, byte-identical to a
+/// live DbtEngine run of the same execution per threshold. Thresholds must
+/// be positive.
+///
+/// The profiling-only snapshot (Average) is closed form
+/// (dbt::TranslationPolicy::profilingOnly), so a threshold-free call
+/// never builds the trace's index.
 ///
 /// Non-adaptive policies are evaluated *analytically* from the trace's
 /// TraceIndex: the freeze timeline is reconstructed from per-block
@@ -246,10 +252,11 @@ SweepResult replaySweep(const BlockTrace &Trace, const guest::Program &P,
                         const std::vector<uint64_t> &Thresholds,
                         const dbt::DbtOptions &Base, unsigned Jobs = 1);
 
-/// The event-pump replay: feeds every trace event through every policy,
-/// with oracle-based retirement of settled policies (see
-/// TranslationPolicy::beginOracle). Kept as the adaptive-mode path and as
-/// the differential-testing oracle for the analytic path above.
+/// The plain event pump: every trace event updates the shared counters and
+/// goes to every policy's onBlockEvent(), exactly as DbtEngine::run does
+/// live; the Average is the same closed form replaySweep uses. Kept as the
+/// adaptive-mode path and as the reference the analytic path above is
+/// checked against.
 SweepResult replaySweepEvents(const BlockTrace &Trace,
                               const guest::Program &P,
                               const std::vector<uint64_t> &Thresholds,

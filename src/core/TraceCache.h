@@ -91,8 +91,8 @@ public:
     std::atomic<uint64_t> CorruptEntries{0};
     std::atomic<uint64_t> RecordMicros{0};
     /// Always 0: indexes were once served from persisted sidecars and no
-    /// longer are. The field stays because the figure banners and
-    /// perfbench/perfbench.cpp read it.
+    /// longer are. The field stays because perfbench/perfbench.cpp reads
+    /// it.
     std::atomic<uint64_t> IndexHits{0};
     /// Analytic indexes built from a trace (see noteIndexBuild); the build
     /// wall clock is accumulated in IndexMicros.

@@ -293,8 +293,21 @@ bool tpdbt::core::decodeSegment(const SegmentedTraceHeader &H, size_t I,
   if (!decompressBytes(Payload, Raw, Error))
     return false;
   Out.clear();
-  return decodeSegmentEvents(Raw, H.Directory[I].Events, H.NumBlocks, Out,
-                             Error);
+  if (!decodeSegmentEvents(Raw, H.Directory[I].Events, H.NumBlocks, Out,
+                           Error))
+    return false;
+  SegmentedTraceHeader::Span Got;
+  for (const TraceEvent &E : Out) {
+    Got.Insts += E.Insts;
+    Got.Taken += E.Branch == 2 ? 1 : 0;
+  }
+  const SegmentedTraceHeader::Span Want = H.segmentSpan(I);
+  if (Got.Insts != Want.Insts || Got.Taken != Want.Taken) {
+    if (Error)
+      *Error = "segment events disagree with directory bases";
+    return false;
+  }
+  return true;
 }
 
 bool SegmentedTraceReader::readSegment(size_t I, std::vector<TraceEvent> &Out,
@@ -312,15 +325,5 @@ bool SegmentedTraceReader::readSegment(size_t I, std::vector<TraceEvent> &Out,
   if (!File.read(Compressed.data(),
                  static_cast<std::streamsize>(Ent.PayloadBytes)))
     return Fail("cannot read segment payload");
-  if (!decodeSegment(Header, I, Compressed, Out, Error))
-    return false;
-  SegmentedTraceHeader::Span Got;
-  for (const TraceEvent &E : Out) {
-    Got.Insts += E.Insts;
-    Got.Taken += E.Branch == 2 ? 1 : 0;
-  }
-  const SegmentedTraceHeader::Span Want = Header.segmentSpan(I);
-  if (Got.Insts != Want.Insts || Got.Taken != Want.Taken)
-    return Fail("segment events disagree with directory bases");
-  return true;
+  return decodeSegment(Header, I, Compressed, Out, Error);
 }

@@ -111,11 +111,11 @@ bool parseSegmentedHeader(const std::string &Bytes, uint64_t FileSize,
 
 /// Inflates and decodes segment \p I of the container described by \p H
 /// from its TPDZ frame \p Payload into \p Out (replacing its contents;
-/// capacity is reused), checking the decoded event count and block
-/// range. The one segment decoder: BlockTrace::parse and
-/// SegmentedTraceReader both use it, and each then checks the segment's
-/// sums against H.segmentSpan(I) — a purely local check, so random-access
-/// reads stay O(segment).
+/// capacity is reused), checking the decoded event count, the block
+/// range, and the segment's instruction and taken sums against
+/// H.segmentSpan(I) — a purely local check, so random-access reads stay
+/// O(segment). The one segment decoder: BlockTrace::parse and
+/// SegmentedTraceReader both use it.
 bool decodeSegment(const SegmentedTraceHeader &H, size_t I,
                    const std::string &Payload, std::vector<TraceEvent> &Out,
                    std::string *Error);
@@ -134,8 +134,7 @@ public:
   const SegmentedTraceHeader &header() const { return Header; }
   size_t numSegments() const { return Header.Directory.size(); }
 
-  /// Reads segment \p I into \p Out through decodeSegment() and checks
-  /// its sums against the directory.
+  /// Reads segment \p I into \p Out through decodeSegment().
   bool readSegment(size_t I, std::vector<TraceEvent> &Out,
                    std::string *Error);
 

@@ -3,11 +3,11 @@
 #include "sample/SampledReplay.h"
 
 #include "cfg/Cfg.h"
+#include "core/Runner.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 using namespace tpdbt;
 using namespace tpdbt::sample;
@@ -194,47 +194,33 @@ bool tpdbt::sample::sampledSweep(SegmentSource &Src, const guest::Program &P,
                       std::move(Plan), std::move(Decoded));
 
   // Duplicate thresholds share one estimation unit, as in replaySweep.
-  std::vector<uint64_t> Unique;
-  std::vector<size_t> SlotOf(Thresholds.size());
-  {
-    std::map<uint64_t, size_t> Seen;
-    for (size_t I = 0; I < Thresholds.size(); ++I) {
-      auto It = Seen.find(Thresholds[I]);
-      if (It == Seen.end()) {
-        It = Seen.emplace(Thresholds[I], Unique.size()).first;
-        Unique.push_back(Thresholds[I]);
-      }
-      SlotOf[I] = It->second;
-    }
-  }
+  const core::ThresholdSlots Slots(Thresholds);
 
   // Point estimates first (each captures its freeze structure), then one
   // replicate unit per (group, unique threshold) re-estimating only the
   // freeze-time counters against that structure. All units are pure const
   // calls written by index, so results are identical at any job count.
   const uint32_t Groups = Est.numGroups() >= 2 ? Est.numGroups() : 0;
-  const size_t U = Unique.size();
+  const size_t U = Slots.Unique.size();
   std::vector<profile::ProfileSnapshot> Points(U);
   std::vector<FreezeInfo> Infos(U);
   parallelFor(U, Jobs, [&](size_t I) {
-    Points[I] = Est.estimate(Base, Unique[I], &Infos[I]);
+    Points[I] = Est.estimate(Base, Slots.Unique[I], &Infos[I]);
   });
-  std::vector<profile::ProfileSnapshot> Reps(Groups * U);
-  parallelFor(Reps.size(), Jobs, [&](size_t Unit) {
+  std::vector<std::vector<profile::ProfileSnapshot>> Reps(
+      Groups, std::vector<profile::ProfileSnapshot>(U));
+  parallelFor(Groups * U, Jobs, [&](size_t Unit) {
     const int Group = static_cast<int>(Unit / U);
     const size_t I = Unit % U;
-    Reps[Unit] = Est.replicate(Base, Unique[I], Infos[I], Group);
+    Reps[Group][I] = Est.replicate(Base, Slots.Unique[I], Infos[I], Group);
   });
 
-  Out.PerThreshold.resize(Thresholds.size());
-  for (size_t I = 0; I < Thresholds.size(); ++I)
-    Out.PerThreshold[I] = Points[SlotOf[I]];
-  Out.Average = Est.average(Base);
-  Out.Replicates.assign(Groups, {});
-  for (uint32_t Gr = 0; Gr < Groups; ++Gr) {
-    Out.Replicates[Gr].resize(Thresholds.size());
-    for (size_t I = 0; I < Thresholds.size(); ++I)
-      Out.Replicates[Gr][I] = Reps[Gr * U + SlotOf[I]];
-  }
+  Out.PerThreshold = Slots.expand(std::move(Points));
+  Out.Average = dbt::TranslationPolicy::profilingOnly(
+      P, G, Base, Src.finalCounts(), Src.numEvents(), Src.takenEvents(),
+      Src.totalInsts());
+  Out.Replicates.clear();
+  for (std::vector<profile::ProfileSnapshot> &Group : Reps)
+    Out.Replicates.push_back(Slots.expand(std::move(Group)));
   return true;
 }

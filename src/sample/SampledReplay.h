@@ -158,7 +158,7 @@ double jackknife95(const std::vector<double> &Replicates,
 /// every (replicate, threshold) unit on up to \p Jobs threads. Non-finite
 /// budgets, zero-segment traces, and decode failures report through
 /// \p Error. Thresholds are estimated as given (duplicates share one
-/// unit); the average is exact (see Estimator::average).
+/// unit); the average is exact (dbt::TranslationPolicy::profilingOnly).
 bool sampledSweep(SegmentSource &Src, const guest::Program &P,
                   const std::vector<uint64_t> &Thresholds,
                   const dbt::DbtOptions &Base, const SampleConfig &Cfg,

@@ -199,6 +199,16 @@ TEST(ExperimentContextTest, JobsProduceByteIdenticalSnapshots) {
   }
 }
 
+TEST(ExperimentContextTest, ColdRunBuildsOneIndexPerBenchmark) {
+  // Only the reference sweep asks for thresholds; INIP(train) is closed
+  // form, so a cold run records two traces per benchmark but indexes one.
+  ExperimentContext Ctx(tinyConfig());
+  const std::vector<std::string> Names = {"gzip", "swim", "eon"};
+  Ctx.warmUp(Names, /*Threads=*/1);
+  EXPECT_EQ(Ctx.traceStats().Misses.load(), 2 * Names.size());
+  EXPECT_EQ(Ctx.traceStats().IndexBuilds.load(), Names.size());
+}
+
 // Per-key guard: many threads racing on the same benchmark must trigger
 // exactly one interpretation (two sweeps: ref + train).
 TEST(ExperimentContextTest, ConcurrentAccessorsInterpretOnce) {

@@ -245,7 +245,8 @@ TEST(TraceTest, IndexedReplayMatchesEventPumpAcrossJobCounts) {
 
 TEST(TraceTest, AdaptiveSweepFallsBackToEventPump) {
   // Adaptive mode has no static freeze timeline; replaySweep must route
-  // through the event pump and still dedupe repeated thresholds.
+  // through the event pump and still dedupe repeated thresholds. The pump
+  // and the closed-form Average must both match a live adaptive engine.
   auto B = smallBench("gzip");
   BlockTrace T = BlockTrace::record(B.Ref);
   dbt::DbtOptions Opts;
@@ -254,12 +255,36 @@ TEST(TraceTest, AdaptiveSweepFallsBackToEventPump) {
   std::vector<uint64_t> Thresholds = {100, 500, 100};
   SweepResult Pumped = replaySweepEvents(T, B.Ref, Thresholds, Opts);
   SweepResult Replayed = replaySweep(T, B.Ref, Thresholds, Opts);
-  for (size_t I = 0; I < Thresholds.size(); ++I)
-    EXPECT_EQ(profile::printSnapshot(Replayed.PerThreshold[I]),
-              profile::printSnapshot(Pumped.PerThreshold[I]))
+  ASSERT_EQ(Replayed.PerThreshold.size(), Thresholds.size());
+  for (size_t I = 0; I < Thresholds.size(); ++I) {
+    dbt::DbtOptions Live = Opts;
+    Live.Threshold = Thresholds[I];
+    const std::string Want =
+        profile::printSnapshot(dbt::DbtEngine(B.Ref, Live).run(~0ull));
+    EXPECT_EQ(profile::printSnapshot(Pumped.PerThreshold[I]), Want)
         << "T=" << Thresholds[I];
-  EXPECT_EQ(profile::printSnapshot(Replayed.Average),
-            profile::printSnapshot(Pumped.Average));
+    EXPECT_EQ(profile::printSnapshot(Replayed.PerThreshold[I]), Want)
+        << "T=" << Thresholds[I];
+  }
+  const std::string WantAverage =
+      profile::printSnapshot(dbt::DbtEngine(B.Ref, Opts).run(~0ull));
+  EXPECT_EQ(profile::printSnapshot(Pumped.Average), WantAverage);
+  EXPECT_EQ(profile::printSnapshot(Replayed.Average), WantAverage);
+}
+
+TEST(TraceTest, ThresholdFreeSweepBuildsNoIndex) {
+  // The profiling-only snapshot is closed form: a sweep without
+  // thresholds (INIP(train), an AVEP) never builds the analytic index.
+  auto B = smallBench("eon");
+  BlockTrace T = BlockTrace::record(B.Ref);
+  SweepResult R = replaySweep(T, B.Ref, {}, dbt::DbtOptions());
+  EXPECT_EQ(T.sharedIndex(), nullptr);
+  EXPECT_TRUE(R.PerThreshold.empty());
+  EXPECT_EQ(profile::printSnapshot(R.Average),
+            profile::printSnapshot(
+                dbt::DbtEngine(B.Ref, dbt::DbtOptions()).run(~0ull)));
+  replaySweep(T, B.Ref, {100}, dbt::DbtOptions());
+  EXPECT_NE(T.sharedIndex(), nullptr);
 }
 
 TEST(TraceTest, DuplicateThresholdsShareOneEvaluation) {
