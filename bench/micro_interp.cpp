@@ -235,6 +235,26 @@ void BM_BuildTraceIndex(benchmark::State &State) {
 }
 BENCHMARK(BM_BuildTraceIndex)->Unit(benchmark::kMillisecond);
 
+/// The warm-cache decode: BlockTrace::parse of the serialized trace that
+/// BM_BuildTraceIndex indexes (inflate, varint decode, the consistency
+/// checks and the resident event stores). A trace-warm figure run pays
+/// this once per trace before the index build.
+void BM_ParseTrace(benchmark::State &State) {
+  auto B = workloads::generateBenchmark(
+      workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));
+  const std::string Bytes = core::BlockTrace::record(B.Ref, ~0ull).serialize();
+  uint64_t Events = 0;
+  for (auto _ : State) {
+    core::BlockTrace T;
+    if (!core::BlockTrace::parse(Bytes, T, nullptr))
+      State.SkipWithError("serialized trace failed to parse");
+    Events += T.numEvents();
+    benchmark::DoNotOptimize(T);
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(Events));
+}
+BENCHMARK(BM_ParseTrace)->Unit(benchmark::kMillisecond);
+
 void BM_GenerateBenchmark(benchmark::State &State) {
   const auto &Spec = *workloads::findSpec("gcc");
   for (auto _ : State) {

@@ -279,6 +279,12 @@ void ExperimentContext::ensureProfiles(const std::string &Name,
   RefSweep.Average.Benchmark = Name;
   RefSweep.Average.Input = "ref";
   D.Avep = std::move(RefSweep.Average);
+  // Let go of the reference trace (and its index) before the training
+  // trace loads, so this worker never holds both. The training trace is
+  // still decoded in full although INIP(train) reads only its totals and
+  // counter table: the decode is what checks the header's Taken column
+  // against the events (parseSegmentedHeader accepts any Taken <= Use).
+  RefTrace.reset();
 
   std::shared_ptr<const BlockTrace> TrainTrace =
       Traces->get(Name, "train", ExecFp, B.Train, MaxBlocks);
@@ -469,7 +475,7 @@ std::string ExperimentContext::statsSummary() const {
   const TraceCache::Counters &TC = Traces->stats();
   std::string Out = formatString(
       "jobs=%u prof %llu hit / %llu miss (%llu corrupt), trace %llu hit / "
-      "%llu miss (%llu corrupt), %llu sweeps, %.1fs recording, "
+      "%llu miss (%llu corrupt, %.1fs decode), %llu sweeps, %.1fs recording, "
       "%.1fs replaying, index %llu build (%.1fs), "
       "host %llu chained / %llu folded / %llu fallback, "
       "jit %llu units / %llu blk / %llu iter / %llu deopt / %llu flush "
@@ -488,6 +494,8 @@ std::string ExperimentContext::statsSummary() const {
           TC.Misses.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           TC.CorruptEntries.load(std::memory_order_relaxed)),
+      static_cast<double>(TC.ParseMicros.load(std::memory_order_relaxed)) /
+          1e6,
       static_cast<unsigned long long>(
           Stats.SweepsRun.load(std::memory_order_relaxed)),
       static_cast<double>(

@@ -216,8 +216,9 @@ public:
   const TraceCache::Counters &traceStats() const { return Traces->stats(); }
 
   /// One-line human-readable rendering of stats() for the bench banners,
-  /// e.g. "jobs=8 prof 20 hit / 6 miss (0 corrupt), trace 4 hit / 2 miss,
-  /// 12 sweeps, 2.0s recording, 1.1s replaying, index 2 build (0.1s)".
+  /// e.g. "jobs=8 prof 20 hit / 6 miss (0 corrupt), trace 4 hit / 2 miss
+  /// (0 corrupt, 0.3s decode), 12 sweeps, 2.0s recording, 1.1s replaying,
+  /// index 2 build (0.1s), ...".
   std::string statsSummary() const;
 
 private:

@@ -4,6 +4,7 @@
 
 #include "core/TraceIndex.h"
 #include "core/TraceSegments.h"
+#include "support/Format.h"
 #include "support/ThreadPool.h"
 #include "vm/HostTier.h"
 #include "vm/Interpreter.h"
@@ -12,6 +13,8 @@
 #include <bit>
 #include <cassert>
 #include <memory>
+#include <stdexcept>
+#include <string_view>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
@@ -26,6 +29,15 @@ const TraceIndex &BlockTrace::index() const {
 
 std::shared_ptr<const TraceIndex> BlockTrace::sharedIndex() const {
   return Index.get();
+}
+
+void BlockTrace::checkBlockLimit(uint64_t N) {
+  if (N < BlockLimit)
+    return;
+  throw std::length_error(formatString(
+      "%llu blocks do not fit the 30-bit block ids of packed trace events "
+      "(limit 2^30 - 1)",
+      static_cast<unsigned long long>(N)));
 }
 
 namespace {
@@ -97,19 +109,28 @@ bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
   SegmentedTraceHeader H;
   if (!parseSegmentedHeader(Bytes, Bytes.size(), H, Error))
     return false;
+  if (H.NumBlocks >= BlockLimit)
+    return Fail("too many blocks for packed trace events");
   BlockTrace T;
   T.setNumBlocks(H.NumBlocks);
   T.reserveEvents(H.NumEvents);
   std::vector<TraceEvent> Buf;
+  std::string Raw; // inflate buffer, reused across segments
+  const std::string_view View(Bytes);
   for (size_t I = 0; I < H.Directory.size(); ++I) {
     const SegmentedTraceHeader::Entry &Ent = H.Directory[I];
     if (!decodeSegment(H, I,
-                       Bytes.substr(static_cast<size_t>(Ent.PayloadOffset),
-                                    static_cast<size_t>(Ent.PayloadBytes)),
-                       Buf, Error))
+                       View.substr(static_cast<size_t>(Ent.PayloadOffset),
+                                   static_cast<size_t>(Ent.PayloadBytes)),
+                       Raw, Buf, Error))
       return false;
-    for (const TraceEvent &E : Buf)
+    for (const TraceEvent &E : Buf) {
+      // The packed form derives every non-final event's count from its
+      // block, so an event after a deviating one makes the entry corrupt.
+      if (T.LastDeviates)
+        return Fail(IrregularInsts);
       T.append(E);
+    }
   }
   // An empty trace has no segment to tie its totals down; the per-block
   // table is checked against the whole stream.
@@ -119,8 +140,6 @@ bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
     if (T.finalCounts()[B].Use != H.Final[B].Use ||
         T.finalCounts()[B].Taken != H.Final[B].Taken)
       return Fail("trace counter table disagrees with events");
-  if (!T.regular())
-    return Fail("a non-final event's insts differ from its block's count");
   Out = std::move(T);
   return true;
 }
@@ -184,7 +203,7 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
     if (From >= Cnt)
       continue;
     const uint64_t Insts =
-        Idx.instsOfFirst(B, Cnt) - Idx.instsOfFirst(B, From);
+        Trace.instsOfFirst(B, Cnt) - Trace.instsOfFirst(B, From);
     if (NodeCount[B] == 0) {
       Policy.analyticOffTraceBlock(Insts);
       continue;
@@ -205,6 +224,15 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
       Bits[Pos >> 6] |= 1ull << (Pos & 63);
     }
   }
+  // The final event is the one event whose count may differ from its
+  // block's. It stays out of the bitmap, so the per-event path below takes
+  // every count from the block table (a per-event final-position select
+  // measured ~12% of BM_ReplaySweep/15); when it belongs to the
+  // sub-stream and no loop fold consumed it, it is walked last.
+  const uint64_t FinalBit = E ? 1ull << ((E - 1) & 63) : 0;
+  const bool WalkFinal = E && (Bits[(E - 1) >> 6] & FinalBit);
+  if (WalkFinal)
+    Bits[(E - 1) >> 6] &= ~FinalBit;
 
   auto nextSet = [&](uint32_t From) -> uint32_t {
     if (From >= E)
@@ -253,7 +281,7 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
       if (Pos >= E || !isSet(Pos))
         return I;
       const region::RegionNode &Node = R.Nodes[NodeIdx];
-      const TraceEvent &Ev = Trace.event(Pos);
+      const TraceEvent Ev = Trace.event(Pos);
       if (Ev.Block != Node.Orig)
         return I;
       PathBlocks.push_back(Ev.Block);
@@ -293,8 +321,8 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
       // read before each cursor advance.
       uint64_t Insts = 0;
       for (BlockId B : PathBlocks) {
-        Insts += Idx.instsOfFirst(B, Cursor[B] + M) -
-                 Idx.instsOfFirst(B, Cursor[B]);
+        Insts += Trace.instsOfFirst(B, Cursor[B] + M) -
+                 Trace.instsOfFirst(B, Cursor[B]);
         Cursor[B] += M;
       }
       Policy.analyticLoopIterations(M, Insts);
@@ -322,13 +350,19 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
       }
       if (!isSet(I))
         break; // a profiling event interleaves; context is preserved
-      const TraceEvent &Ev = Trace.event(I);
+      TraceEvent Ev = Trace.event(I);
+      Ev.Insts = Trace.blockInsts(Ev.Block); // never the final event here
       ++Cursor[Ev.Block];
       Policy.analyticOptimizedEvent(Ev.Block, resultOf(Ev));
       ++I;
       if (!Policy.inRegionContext() || I >= E)
         break;
     }
+  }
+  if (WalkFinal) {
+    const TraceEvent Ev = Trace.event(E - 1);
+    if (Cursor[Ev.Block] < Idx.occurrences(Ev.Block))
+      Policy.analyticOptimizedEvent(Ev.Block, resultOf(Ev));
   }
 }
 
@@ -414,7 +448,7 @@ profile::ProfileSnapshot evaluateIndexed(const BlockTrace &Trace,
                            : Idx.usesThrough(Id, FreezePos[B]);
     ProfEvents += K;
     ProfTaken += Idx.takenOfFirst(Id, K);
-    ProfInsts += Idx.instsOfFirst(Id, K);
+    ProfInsts += Trace.instsOfFirst(Id, K);
   }
   Policy.analyticAddProfiling(ProfEvents, ProfTaken, ProfInsts);
 
@@ -447,7 +481,7 @@ SweepResult tpdbt::core::replaySweepEvents(
   // each event bumps the shared counters, then goes to every policy.
   std::vector<profile::BlockCounters> Shared(P.numBlocks());
   for (size_t I = 0; I < NumEvents; ++I) {
-    const TraceEvent &E = Trace.event(I);
+    const TraceEvent E = Trace.event(I);
     const vm::BlockResult R = resultOf(E);
     profile::BlockCounters &Cnt = Shared[E.Block];
     ++Cnt.Use;

@@ -14,6 +14,14 @@
 /// byte-identical to a dedicated DbtEngine run per threshold — a property
 /// test asserts that.
 ///
+/// In memory, an event is one 32-bit word, (Block << 2) | Branch. The
+/// paper's metrics read only per-block use/taken counters, and a block
+/// retires the same instruction count on every execution except a final
+/// MemFault, so the per-block count table plus the final event's own
+/// count rebuild every TraceEvent exactly (BlockTrace::event). append()
+/// refuses any event after one that breaks that rule, so an irregular
+/// trace cannot be built.
+///
 /// Serialized traces use the segmented TPDT v3 container
 /// (core/TraceSegments.h, docs/CACHE_FORMAT.md): the final per-block
 /// use/taken counters (they give the profiling-only snapshot and the
@@ -30,9 +38,11 @@
 #include "profile/Profile.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,7 +61,9 @@ class TraceIndex;
 /// bench-scale trace segment by segment.
 constexpr uint64_t DefaultSegmentEvents = uint64_t(1) << 16;
 
-/// One recorded block event.
+/// One recorded block event: the value type recording, the segment codec
+/// and the readers pass around. BlockTrace keeps it packed (see the file
+/// comment) and rebuilds it on access.
 struct TraceEvent {
   guest::BlockId Block = 0;
   /// 0 = no conditional branch, 1 = branch not taken, 2 = branch taken.
@@ -84,7 +96,15 @@ public:
 
   size_t numEvents() const { return Events.size(); }
   size_t numBlocks() const { return NumBlocks; }
-  const TraceEvent &event(size_t I) const { return Events[I]; }
+  /// Event \p I, rebuilt from its packed word: the block and branch
+  /// outcome are stored, the instruction count is the block's
+  /// blockInsts() (the final event's own count for the final event).
+  TraceEvent event(size_t I) const {
+    const uint32_t W = Events[I];
+    const guest::BlockId B = W >> 2;
+    return {B, static_cast<uint8_t>(W & 3),
+            I + 1 == Events.size() ? FinalInsts : BlockInsts[B]};
+  }
   uint64_t totalInsts() const { return TotalInsts; }
   /// Number of events that are taken conditional branches (an input of
   /// the closed-form profiling-only snapshot,
@@ -102,15 +122,19 @@ public:
   /// first occurrence (0 for a block that never ran). The count is fixed
   /// by the block's code; only a MemFault cuts an execution short, and
   /// it ends the run, so the final event is the one event that may
-  /// differ (see regular()).
+  /// differ. append() refuses any event after a deviating one, so every
+  /// BlockTrace satisfies this by construction.
   uint32_t blockInsts(guest::BlockId B) const { return BlockInsts[B]; }
 
-  /// True when every event but the final one retires its block's
-  /// blockInsts(). record() produces regular traces by construction,
-  /// parse() rejects irregular ones and TraceIndex::build refuses them:
-  /// the index derives per-occurrence instruction counts from the
-  /// per-block table.
-  bool regular() const { return !Irregular; }
+  /// Guest instructions executed by the first \p K occurrences of \p B:
+  /// K times the block's count, with the final event's own count in
+  /// place of one of them when those occurrences include it.
+  uint64_t instsOfFirst(guest::BlockId B, uint32_t K) const {
+    const uint64_t Insts = uint64_t(K) * BlockInsts[B];
+    if (K != 0 && K == Final[B].Use && B == (Events.back() >> 2))
+      return Insts - BlockInsts[B] + FinalInsts;
+    return Insts;
+  }
 
   /// The analytic replay index over this trace, built with
   /// TraceIndex::build on first use and cached for the trace's lifetime
@@ -125,10 +149,13 @@ public:
   const std::string &name() const { return Name; }
   void setName(std::string N) { Name = std::move(N); }
 
-  /// Appends one event (used by record() and tests).
+  /// Appends one event (used by record() and tests). Throws
+  /// std::invalid_argument when the previous event deviated from its
+  /// block's count (see blockInsts()), and std::length_error when
+  /// \p E.Block does not fit the 30 bits of a packed event.
   void append(const TraceEvent &E) {
     noteBlock(E, 1);
-    Events.push_back(E);
+    Events.push_back(pack(E));
     TotalInsts += E.Insts;
     ++Final[E.Block].Use;
     if (E.Branch == 2) {
@@ -138,8 +165,8 @@ public:
   }
   /// Appends \p N copies of one event — the run-length entry point for
   /// the host tier's batched self-loop iterations. Equivalent to calling
-  /// append(E) N times (serialize() output included), without the
-  /// per-event counter maintenance.
+  /// append(E) N times (serialize() output and refusals included),
+  /// without the per-event counter maintenance.
   void appendRun(const TraceEvent &E, uint64_t N) {
     if (N == 0)
       return;
@@ -150,8 +177,9 @@ public:
     const size_t Need = Events.size() + N;
     if (Need > Events.capacity())
       Events.reserve(std::max(Need, Events.capacity() * 2));
+    const uint32_t W = pack(E);
     for (uint64_t I = 0; I < N; ++I)
-      Events.push_back(E);
+      Events.push_back(W);
     TotalInsts += static_cast<uint64_t>(E.Insts) * N;
     Final[E.Block].Use += N;
     if (E.Branch == 2) {
@@ -166,7 +194,11 @@ public:
   /// reserved-but-untouched pages are never faulted, so overshooting is
   /// nearly free).
   void reserveEvents(size_t N) { Events.reserve(N); }
+  /// Sizes the per-block tables for \p N blocks. Throws
+  /// std::length_error, before resizing anything, when \p N is 2^30 or
+  /// more (block ids must fit the 30 bits of a packed event).
   void setNumBlocks(size_t N) {
+    checkBlockLimit(N);
     NumBlocks = N;
     if (Final.size() < N) {
       Final.resize(N);
@@ -175,31 +207,52 @@ public:
   }
 
 private:
+  /// Block ids are packed into 30 bits of an event word, so a trace
+  /// holds fewer than 2^30 blocks; the check runs in every build type.
+  static constexpr uint64_t BlockLimit = uint64_t(1) << 30;
+  /// What append() throws and parse() reports for an event that follows
+  /// one deviating from its block's count (see blockInsts()).
+  static constexpr const char *IrregularInsts =
+      "a non-final event's insts differ from its block's count";
+
+  static uint32_t pack(const TraceEvent &E) {
+    assert(E.Branch <= 2 && "branch outcome out of range");
+    return (static_cast<uint32_t>(E.Block) << 2) | E.Branch;
+  }
+  static void checkBlockLimit(uint64_t N);
   /// Per-block bookkeeping ahead of appending \p N copies of \p E:
-  /// sizes the per-block tables, takes the block's instruction count from
-  /// its first occurrence, and tracks regularity. A deviating event is
-  /// only harmless while it stays the final one.
+  /// sizes the per-block tables, refuses events the packed form cannot
+  /// hold, takes the block's instruction count from its first occurrence,
+  /// and keeps the final event's count. A deviating event is only
+  /// harmless while it stays the final one.
   void noteBlock(const TraceEvent &E, uint64_t N) {
     if (Final.size() <= E.Block) {
+      checkBlockLimit(uint64_t(E.Block) + 1);
       Final.resize(E.Block + 1);
       BlockInsts.resize(E.Block + 1);
     }
+    if (LastDeviates || (N > 1 && Final[E.Block].Use != 0 &&
+                         E.Insts != BlockInsts[E.Block]))
+      throw std::invalid_argument(IrregularInsts);
     if (Final[E.Block].Use == 0)
       BlockInsts[E.Block] = E.Insts;
-    const bool Deviates = E.Insts != BlockInsts[E.Block];
-    Irregular |= LastDeviates || (Deviates && N > 1);
-    LastDeviates = Deviates;
+    LastDeviates = E.Insts != BlockInsts[E.Block];
+    FinalInsts = E.Insts;
   }
 
-  std::vector<TraceEvent> Events;
+  /// One word per event: (Block << 2) | Branch.
+  std::vector<uint32_t> Events;
+  static_assert(sizeof(decltype(Events)::value_type) == 4,
+                "a resident event is one 32-bit word");
   std::vector<profile::BlockCounters> Final;
   std::vector<uint32_t> BlockInsts;
   size_t NumBlocks = 0;
   uint64_t TotalInsts = 0;
   uint64_t TakenEvents = 0;
-  /// Regularity state (see regular() and noteBlock()).
+  /// The final event's instruction count, and whether it differs from
+  /// its block's count (then nothing may follow it).
+  uint32_t FinalInsts = 0;
   bool LastDeviates = false;
-  bool Irregular = false;
   std::string Name;
   /// Lazily-built index (see index()). Mutable: the index is a cache of a
   /// pure function of the trace, not logical state. Copies and moves of

@@ -120,12 +120,14 @@ std::string TraceCache::entryPath(const std::string &Name,
 
 std::shared_ptr<BlockTrace>
 TraceCache::loadDisk(const std::string &Path, const guest::Program &Program) {
+  const auto Start = std::chrono::steady_clock::now();
   auto Bytes = readTextFile(Path);
   if (!Bytes)
     return nullptr;
   auto Trace = std::make_shared<BlockTrace>();
-  if (!BlockTrace::parse(*Bytes, *Trace, nullptr) ||
-      Trace->numBlocks() != Program.numBlocks()) {
+  const bool Parsed = BlockTrace::parse(*Bytes, *Trace, nullptr);
+  Stats.ParseMicros.fetch_add(microsSince(Start), std::memory_order_relaxed);
+  if (!Parsed || Trace->numBlocks() != Program.numBlocks()) {
     // Torn, corrupt, written in a retired format (TPDT v1/v2 in a
     // whole-file TPDZ frame), or recorded for a different program shape
     // (a stale key collision): treat as a miss; the re-recording

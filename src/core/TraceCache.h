@@ -90,6 +90,10 @@ public:
     /// downgrades its lookup to a miss.
     std::atomic<uint64_t> CorruptEntries{0};
     std::atomic<uint64_t> RecordMicros{0};
+    /// Wall clock of the disk layer's whole-trace loads: file read plus
+    /// BlockTrace::parse (inflate, decode and the consistency checks),
+    /// corrupt entries included.
+    std::atomic<uint64_t> ParseMicros{0};
     /// Always 0: indexes were once served from persisted sidecars and no
     /// longer are. The field stays because perfbench/perfbench.cpp reads
     /// it.

@@ -28,30 +28,19 @@ TraceIndex TraceIndex::build(const BlockTrace &Trace) {
   const size_t N = Trace.numBlocks();
   const size_t E = Trace.numEvents();
   checkPositionLimit(E, Trace.name());
-  if (!Trace.regular())
-    throw std::invalid_argument(formatString(
-        "trace %s is irregular: a non-final event's insts differ from its "
-        "block's count, so the replay index cannot derive them",
-        Trace.name().empty() ? "(unnamed)" : Trace.name().c_str()));
 
   TraceIndex Idx;
   // The trace already maintains final per-block use counts, which are
   // exactly the CSR row sizes.
   const std::vector<profile::BlockCounters> &Final = Trace.finalCounts();
   Idx.BlockBegin.resize(N + 1);
-  Idx.BlockInsts.resize(N);
   uint32_t Offset = 0;
   for (size_t B = 0; B < N; ++B) {
     Idx.BlockBegin[B] = Offset;
     Offset += static_cast<uint32_t>(Final[B].Use);
-    Idx.BlockInsts[B] = Trace.blockInsts(static_cast<BlockId>(B));
   }
   Idx.BlockBegin[N] = Offset;
   assert(Offset == E && "final counts disagree with the event stream");
-  if (E) {
-    Idx.FinalBlock = Trace.event(E - 1).Block;
-    Idx.FinalInsts = Trace.event(E - 1).Insts;
-  }
 
   // One pass: scatter positions and accumulate taken rows. Cursor[B] is
   // the next free OccPos slot of block B; the rows carry a leading zero
@@ -61,7 +50,7 @@ TraceIndex TraceIndex::build(const BlockTrace &Trace) {
   std::vector<uint32_t> Cursor(Idx.BlockBegin.begin(),
                                Idx.BlockBegin.end() - 1);
   for (size_t I = 0; I < E; ++I) {
-    const TraceEvent &Ev = Trace.event(I);
+    const TraceEvent Ev = Trace.event(I);
     uint32_t Slot = Cursor[Ev.Block]++;
     Idx.OccPos[Slot] = static_cast<uint32_t>(I);
     size_t Row = Slot + Ev.Block; // prefBegin(Block) + occurrence rank

@@ -22,10 +22,10 @@
 ///  - per-block taken-bit prefix sums, giving any block's counters "as
 ///    of event p" as a prefix lookup.
 ///
-/// Instruction counts need no per-event array: a block retires the same
-/// count on every execution except a MemFault, which ends the run (see
-/// BlockTrace::regular()). The index keeps the trace's per-block count
-/// (N entries) and its final event, and answers instsOfFirst in O(1).
+/// Instruction counts need no per-event array and are not indexed at
+/// all: a block retires the same count on every execution except a
+/// MemFault, which ends the run, so BlockTrace::instsOfFirst answers them
+/// in O(1) from the trace's per-block table and its final event.
 ///
 /// Building the index is one O(events) pass over the decoded trace; it
 /// is built at most once per in-memory trace (see BlockTrace::index())
@@ -56,8 +56,7 @@ class TraceIndex {
 public:
   /// Builds the index for \p Trace in one linear pass. Throws
   /// std::length_error (see checkPositionLimit) when the trace has too
-  /// many events for 32-bit positions, and std::invalid_argument when the
-  /// trace is not BlockTrace::regular(). Both checks run in every build
+  /// many events for 32-bit positions; the check runs in every build
   /// type.
   static TraceIndex build(const BlockTrace &Trace);
 
@@ -93,16 +92,6 @@ public:
     return TakenPre[prefBegin(B) + K];
   }
 
-  /// Guest instructions executed by the first \p K occurrences of \p B:
-  /// K times the block's count, with the final event's own count in
-  /// place of one of them when those occurrences include it.
-  uint64_t instsOfFirst(guest::BlockId B, uint32_t K) const {
-    const uint64_t Insts = uint64_t(K) * BlockInsts[B];
-    if (B == FinalBlock && K == occurrences(B))
-      return Insts - BlockInsts[B] + FinalInsts;
-    return Insts;
-  }
-
   /// Shared counters of \p B as of (and including) the event at \p Pos —
   /// what the event pump's Shared[B] holds right after that event.
   profile::BlockCounters countersThrough(guest::BlockId B,
@@ -132,11 +121,6 @@ private:
   /// Per-block prefix sums over occurrence outcomes, rows addressed by
   /// prefBegin(); entry [row + k] covers the first k occurrences.
   std::vector<uint32_t> TakenPre;
-  /// BlockTrace::blockInsts per block, and the block and count of the
-  /// trace's final event (the one event that may deviate).
-  std::vector<uint32_t> BlockInsts;
-  guest::BlockId FinalBlock = ~guest::BlockId(0);
-  uint32_t FinalInsts = 0;
 };
 
 } // namespace core

@@ -90,21 +90,26 @@ std::string BlockTrace::serialize(uint64_t Budget) const {
   // global prefix sums at its start.
   std::string Directory, Payloads;
   uint64_t NumSegments = 0, RunInsts = 0, RunTaken = 0;
+  std::vector<TraceEvent> Segment; // the codec's scratch, one segment long
   for (size_t At = 0; At < Events.size(); ++NumSegments) {
     const size_t N =
         static_cast<size_t>(std::min<uint64_t>(Budget, Events.size() - At));
+    Segment.resize(N);
+    for (size_t K = 0; K < N; ++K)
+      Segment[K] = event(At + K);
     const std::string Payload =
-        compressBytes(encodeSegmentEvents(&Events[At], N));
+        compressBytes(encodeSegmentEvents(Segment.data(), N));
     putVarint(Directory, N);
     putVarint(Directory, Payload.size());
     putVarint(Directory, RunInsts);
     putVarint(Directory, RunTaken);
     Payloads += Payload;
-    for (const size_t End = At + N; At < End; ++At) {
-      RunInsts += Events[At].Insts;
-      if (Events[At].Branch == 2)
+    for (const TraceEvent &E : Segment) {
+      RunInsts += E.Insts;
+      if (E.Branch == 2)
         ++RunTaken;
     }
+    At += N;
   }
 
   std::string Out(Magic, 4);
@@ -285,11 +290,10 @@ bool SegmentedTraceReader::open(const std::string &Path,
 }
 
 bool tpdbt::core::decodeSegment(const SegmentedTraceHeader &H, size_t I,
-                                const std::string &Payload,
+                                std::string_view Payload, std::string &Raw,
                                 std::vector<TraceEvent> &Out,
                                 std::string *Error) {
   assert(I < H.Directory.size() && "segment index out of range");
-  std::string Raw;
   if (!decompressBytes(Payload, Raw, Error))
     return false;
   Out.clear();
@@ -325,5 +329,5 @@ bool SegmentedTraceReader::readSegment(size_t I, std::vector<TraceEvent> &Out,
   if (!File.read(Compressed.data(),
                  static_cast<std::streamsize>(Ent.PayloadBytes)))
     return Fail("cannot read segment payload");
-  return decodeSegment(Header, I, Compressed, Out, Error);
+  return decodeSegment(Header, I, Compressed, Inflated, Out, Error);
 }

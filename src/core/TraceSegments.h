@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tpdbt {
@@ -111,14 +112,15 @@ bool parseSegmentedHeader(const std::string &Bytes, uint64_t FileSize,
 
 /// Inflates and decodes segment \p I of the container described by \p H
 /// from its TPDZ frame \p Payload into \p Out (replacing its contents;
-/// capacity is reused), checking the decoded event count, the block
-/// range, and the segment's instruction and taken sums against
-/// H.segmentSpan(I) — a purely local check, so random-access reads stay
-/// O(segment). The one segment decoder: BlockTrace::parse and
+/// capacity is reused), inflating into the caller's scratch \p Raw so a
+/// reader of many segments keeps one buffer. Checks the decoded event
+/// count, the block range, and the segment's instruction and taken sums
+/// against H.segmentSpan(I) — a purely local check, so random-access
+/// reads stay O(segment). The one segment decoder: BlockTrace::parse and
 /// SegmentedTraceReader both use it.
 bool decodeSegment(const SegmentedTraceHeader &H, size_t I,
-                   const std::string &Payload, std::vector<TraceEvent> &Out,
-                   std::string *Error);
+                   std::string_view Payload, std::string &Raw,
+                   std::vector<TraceEvent> &Out, std::string *Error);
 
 /// Streams a TPDT v3 file segment-at-a-time: open() reads and validates
 /// only the header; readSegment() seeks to one payload frame, inflates
@@ -142,6 +144,7 @@ private:
   SegmentedTraceHeader Header;
   std::ifstream File;
   std::string Compressed; ///< payload scratch, reused across segments
+  std::string Inflated;   ///< inflate scratch, reused across segments
 };
 
 } // namespace core

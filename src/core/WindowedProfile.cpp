@@ -19,7 +19,7 @@ WindowedProfile tpdbt::core::collectWindowedProfile(const guest::Program &P,
                      std::vector<profile::BlockCounters>(P.numBlocks()));
   const uint64_t WindowLen = Total / NumWindows + 1;
   for (uint64_t Event = 0; Event < Total; ++Event) {
-    const TraceEvent &E = Trace.event(Event);
+    const TraceEvent E = Trace.event(Event);
     size_t W = std::min<size_t>(Event / WindowLen, NumWindows - 1);
     assert(E.Block < Out.Windows[W].size() && "trace/program mismatch");
     ++Out.Windows[W][E.Block].Use;

@@ -116,7 +116,7 @@ MemorySegmentSource::MemorySegmentSource(const core::BlockTrace &Trace,
     SegmentStats S;
     S.Events = End - Start;
     for (size_t I = Start; I < End; ++I) {
-      const TraceEvent &E = Trace.event(I);
+      const TraceEvent E = Trace.event(I);
       S.Insts += E.Insts;
       if (E.Branch == 2)
         ++S.Taken;
@@ -135,8 +135,11 @@ bool MemorySegmentSource::read(size_t I, SegmentProfile &Out,
   const size_t Start = I * Budget;
   const size_t End =
       std::min<size_t>(Start + Budget, Trace.numEvents());
-  // The event vector is contiguous; hand the slice straight down.
-  aggregateEvents(&Trace.event(Start), End - Start, Trace.numBlocks(), Out);
+  // The trace keeps packed events; unpack the slice for aggregateEvents.
+  Buf.resize(End - Start);
+  for (size_t K = 0; K < Buf.size(); ++K)
+    Buf[K] = Trace.event(Start + K);
+  aggregateEvents(Buf.data(), Buf.size(), Trace.numBlocks(), Out);
   return true;
 }
 

@@ -127,6 +127,7 @@ private:
   const core::BlockTrace &Trace;
   uint64_t Budget = 0;
   std::vector<SegmentStats> Stats;
+  std::vector<core::TraceEvent> Buf; ///< unpacked slice scratch
 };
 
 /// Aggregates a decoded event slice into sparse per-block totals

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Hand-built, hostile TPDT v3 containers shared by the segment-format
-/// tests and the trace decoder fuzz test. Each one must be rejected by
+/// Hand-built TPDT v3 containers shared by the trace, segment-format and
+/// decoder fuzz tests: hostile headers, each of which must be rejected by
 /// parseSegmentedHeader without sizing an allocation from the field it
-/// lies about.
+/// lies about, and a reference writer that builds a container from any
+/// event vector.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include "support/Compression.h"
 #include "support/Varint.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -104,6 +106,39 @@ inline std::vector<HostileHeader> hostileHeaders() {
     Out.push_back(F);
   }
   return Out;
+}
+
+/// A reference TPDT v3 writer independent of BlockTrace::serialize: the
+/// container of \p Events over \p Blocks blocks at \p Budget events per
+/// segment, with the counter table, totals and directory bases summed
+/// from the events themselves. It holds whatever it is given, so it also
+/// builds containers no BlockTrace could hold.
+inline std::string v3Container(const std::vector<core::TraceEvent> &Events,
+                               uint64_t Blocks, uint64_t Budget) {
+  std::vector<uint64_t> Use(Blocks, 0), Taken(Blocks, 0);
+  uint64_t Insts = 0;
+  for (const core::TraceEvent &E : Events) {
+    ++Use[E.Block];
+    Taken[E.Block] += E.Branch == 2;
+    Insts += E.Insts;
+  }
+  std::string Directory, Payloads;
+  uint64_t Segments = 0, RunInsts = 0, RunTaken = 0;
+  for (size_t At = 0; At < Events.size(); ++Segments) {
+    const size_t N = std::min<size_t>(Budget, Events.size() - At);
+    const std::string Payload =
+        compressBytes(core::encodeSegmentEvents(&Events[At], N));
+    putRow(Directory, {N, Payload.size(), RunInsts, RunTaken});
+    Payloads += Payload;
+    for (const size_t End = At + N; At < End; ++At) {
+      RunInsts += Events[At].Insts;
+      RunTaken += Events[At].Branch == 2;
+    }
+  }
+  std::string Out = v3Header(Blocks, Events.size(), Insts, Budget, Segments);
+  for (uint64_t B = 0; B < Blocks; ++B)
+    putRow(Out, {Use[B], Taken[B]});
+  return Out + Directory + Payloads;
 }
 
 /// A complete, otherwise well-formed one-block container whose single

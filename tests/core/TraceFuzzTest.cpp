@@ -99,7 +99,6 @@ bool checkParse(const std::string &Bytes, BlockTrace &T) {
   EXPECT_EQ(T.takenEvents(), Taken);
   EXPECT_EQ(T.takenEvents(), TakenEvents);
   EXPECT_EQ(T.totalInsts(), Insts);
-  EXPECT_TRUE(T.regular());
   EXPECT_NO_THROW(TraceIndex::build(T));
   return true;
 }

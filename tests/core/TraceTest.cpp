@@ -3,14 +3,18 @@
 #include "core/Trace.h"
 
 #include "TestSupport.h"
+#include "TraceFixtures.h"
 #include "dbt/DbtEngine.h"
 #include "guest/ProgramBuilder.h"
 #include "support/Rng.h"
 #include "support/Varint.h"
+#include "vm/Interpreter.h"
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
@@ -108,6 +112,91 @@ TEST(TraceTest, SerializeParseRoundTrip) {
   EXPECT_EQ(Q.serialize(), Bytes);
 }
 
+TEST(TraceTest, ResidentEventsRoundTripEveryField) {
+  // The latch is this chain's conditional block, and it faults mid-chain:
+  // the final event retires fewer instructions than the latch's other
+  // occurrences and has no branch outcome. A resident event keeps only
+  // the block and the outcome, so every field of every event must still
+  // come back exactly as the interpreter delivered it.
+  const guest::Program P = makeFaultingLatchLoop(2000, 600);
+  std::vector<TraceEvent> Seen;
+  vm::Interpreter Interp(P);
+  vm::Machine M;
+  M.reset(P);
+  Interp.run(M, ~0ull, [&](guest::BlockId B, const vm::BlockResult &R) {
+    const uint8_t Branch = R.IsCondBranch ? (R.Taken ? 2 : 1) : 0;
+    Seen.push_back({B, Branch, R.InstsExecuted});
+  });
+  ASSERT_GT(Seen.size(), 1000u);
+  const TraceEvent Last = Seen.back();
+  const TraceEvent Before = Seen[Seen.size() - 4]; // the previous latch
+  ASSERT_EQ(Before.Block, Last.Block);
+  EXPECT_EQ(Last.Branch, 0);
+  EXPECT_NE(Before.Branch, 0);
+  EXPECT_LT(Last.Insts, Before.Insts);
+
+  auto expectEvents = [&](const BlockTrace &T, const char *Label) {
+    ASSERT_EQ(T.numEvents(), Seen.size()) << Label;
+    for (size_t I = 0; I < Seen.size(); ++I) {
+      const TraceEvent E = T.event(I);
+      ASSERT_EQ(E.Block, Seen[I].Block) << Label << " @" << I;
+      ASSERT_EQ(E.Branch, Seen[I].Branch) << Label << " @" << I;
+      ASSERT_EQ(E.Insts, Seen[I].Insts) << Label << " @" << I;
+    }
+  };
+  const BlockTrace T = BlockTrace::record(P);
+  expectEvents(T, "recorded");
+  // The writer emits exactly the container of the delivered events.
+  const std::string Bytes = T.serialize(256);
+  EXPECT_EQ(Bytes, testfixtures::v3Container(Seen, P.numBlocks(), 256));
+  BlockTrace Q;
+  std::string Error;
+  ASSERT_TRUE(BlockTrace::parse(Bytes, Q, &Error)) << Error;
+  expectEvents(Q, "parsed");
+  EXPECT_EQ(Q.totalInsts(), T.totalInsts());
+  EXPECT_EQ(Q.takenEvents(), T.takenEvents());
+}
+
+TEST(TraceTest, AppendRefusesEventAfterDeviatingOne) {
+  // Only the final event may retire a count other than its block's: a
+  // BlockTrace derives every other event's count from the block, so
+  // append refuses whatever follows a deviating event, in every build
+  // type, and the trace keeps its events.
+  BlockTrace T;
+  T.setNumBlocks(2);
+  T.append({0, 0, 4});
+  T.append({0, 0, 3}); // deviates, but is still the final event
+  EXPECT_EQ(T.event(1).Insts, 3u);
+  EXPECT_THROW(T.append({1, 0, 2}), std::invalid_argument);
+  EXPECT_THROW(T.appendRun({1, 0, 2}, 3), std::invalid_argument);
+  ASSERT_EQ(T.numEvents(), 2u);
+  EXPECT_EQ(T.totalInsts(), 7u);
+  EXPECT_EQ(T.event(1).Insts, 3u);
+  EXPECT_EQ(T.instsOfFirst(0, 2), 7u);
+
+  // A run of deviating copies: the second copy follows the first.
+  BlockTrace Run;
+  Run.setNumBlocks(1);
+  Run.append({0, 0, 4});
+  EXPECT_THROW(Run.appendRun({0, 0, 5}, 2), std::invalid_argument);
+  ASSERT_EQ(Run.numEvents(), 1u);
+  // A single deviating copy is a final event like any other.
+  Run.appendRun({0, 0, 5}, 1);
+  EXPECT_EQ(Run.totalInsts(), 9u);
+  EXPECT_EQ(Run.instsOfFirst(0, 2), 9u);
+}
+
+TEST(TraceTest, BlockIdsMustFitThirtyBits) {
+  // Packed events hold the block id in 30 bits. Both ways of sizing the
+  // per-block tables refuse a block past that before allocating.
+  BlockTrace T;
+  EXPECT_THROW(T.setNumBlocks(size_t(1) << 30), std::length_error);
+  EXPECT_THROW(T.append({guest::BlockId(1) << 30, 0, 1}), std::length_error);
+  EXPECT_EQ(T.numBlocks(), 0u);
+  EXPECT_EQ(T.numEvents(), 0u);
+  EXPECT_EQ(T.finalCounts().capacity(), 0u);
+}
+
 TEST(TraceTest, ParseRejectsCorruption) {
   auto B = smallBench("eon");
   std::string Bytes = BlockTrace::record(B.Ref, 500).serialize();
@@ -161,9 +250,8 @@ TEST(TraceTest, AnalyticMatchesPumpOnFaultingTrace) {
       {"latch fault", makeFaultingLatchLoop(200, 64)}};
   for (const auto &[Label, P] : Programs) {
     BlockTrace T = BlockTrace::record(P);
-    ASSERT_TRUE(T.regular()) << Label;
     ASSERT_GT(T.numEvents(), 0u) << Label;
-    const TraceEvent &Last = T.event(T.numEvents() - 1);
+    const TraceEvent Last = T.event(T.numEvents() - 1);
     ASSERT_LT(Last.Insts, T.blockInsts(Last.Block)) << Label;
     for (size_t PoolLimit : {64, 2, 1}) {
       dbt::DbtOptions Opts;
